@@ -625,7 +625,7 @@ let e16_stream ~quick ~update =
   Printf.printf "workload: %s\n" (Svc.Workload.to_string spec);
   let cache = Filename.concat dir "cache_head" in
   let timing = Svc.Timing.create () in
-  let make_engine wt =
+  let make_engine ~worker:_ wt =
     Svc.Engine.create ~cache_cap:4096 ~cache_dir:cache ~base_dir:dir
       ~write_batch:64 ?timing:wt ()
   in
@@ -633,7 +633,7 @@ let e16_stream ~quick ~update =
   let served = ref 0 and errors = ref 0 in
   let t0 = Unix.gettimeofday () in
   let outcome =
-    Svc.Pool.run_stream
+    Svc.Pool.run_once
       ~emit:(fun r ->
         match r.Svc.Stats.r_status with
         | Svc.Stats.Served_fresh | Svc.Stats.Served_cached
@@ -654,7 +654,7 @@ let e16_stream ~quick ~update =
     (match read_vm_hwm_kb () with
     | Some k -> Printf.sprintf "; VmHWM %d kB" k
     | None -> "");
-  let s = outcome.Svc.Pool.stream_summary in
+  let s = outcome.Svc.Pool.summary in
   check
     (s.Svc.Stats.s_jobs = total)
     (Printf.sprintf "E16a: stream lost jobs (%d of %d)" s.Svc.Stats.s_jobs
@@ -663,7 +663,7 @@ let e16_stream ~quick ~update =
     (heap_growth < heap_budget)
     "E16a: heap grew past the fixed budget — something materialized the \
      corpus";
-  let st = outcome.Svc.Pool.stream_store in
+  let st = outcome.Svc.Pool.store_stats in
   Printf.printf
     "store: insertions=%d filter_skips=%d filter_hits=%d filter_fps=%d \
      flushes=%d\n"
@@ -707,23 +707,33 @@ let e16_stream ~quick ~update =
     | Ok jobs -> jobs
     | Error e -> failwith e
   in
-  let fresh_engine tag wt =
+  let fresh_engine tag ~worker:_ wt =
     Svc.Engine.create ~cache_cap:2048
       ~cache_dir:(Filename.concat dir ("cache_" ^ tag))
       ~base_dir:dir ~write_batch:16 ?timing:wt ()
   in
-  let batch_outcome =
-    Svc.Pool.run ~workers:1 ~make_engine:(fresh_engine "b1") batch_jobs
+  (* one batch pass through the pool, as certd runs it: the jobs in id
+     order; returns the reports *)
+  let run_batch ~make_engine jobs =
+    let reports = ref [] in
+    ignore
+      (Svc.Pool.run_once
+         ~emit:(fun r -> reports := r :: !reports)
+         ~workers:1 ~make_engine (Svc.Pool.in_id_order jobs)
+        : Svc.Pool.outcome);
+    List.rev !reports
   in
   let batch_digest =
-    Digest.string (Svc.Stats.canonical_lines batch_outcome.Svc.Pool.reports)
+    Digest.string
+      (Svc.Stats.canonical_lines
+         (run_batch ~make_engine:(fresh_engine "b1") batch_jobs))
   in
   let sweep = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   List.iter
     (fun n ->
       let buf = Buffer.create (totalb * 64) in
       let outcome =
-        Svc.Pool.run_stream
+        Svc.Pool.run_once
           ~emit:(fun r ->
             if Buffer.length buf > 0 then Buffer.add_char buf '\n';
             Buffer.add_string buf (Svc.Stats.to_canonical_json r))
@@ -733,7 +743,7 @@ let e16_stream ~quick ~update =
       in
       let d = Digest.string (Buffer.contents buf) in
       Printf.printf "N=%d: %d jobs, canonical digest %s %s\n" n
-        outcome.Svc.Pool.stream_summary.Svc.Stats.s_jobs (Digest.to_hex d)
+        outcome.Svc.Pool.summary.Svc.Stats.s_jobs (Digest.to_hex d)
         (if d = batch_digest then "== batch" else "DIFFERS from batch");
       check (d = batch_digest)
         (Printf.sprintf
@@ -744,7 +754,7 @@ let e16_stream ~quick ~update =
       if n = 1 then begin
         let buf2 = Buffer.create (totalb * 64) in
         let outcome2 =
-          Svc.Pool.run_stream
+          Svc.Pool.run_once
             ~emit:(fun r ->
               if Buffer.length buf2 > 0 then Buffer.add_char buf2 '\n';
               Buffer.add_string buf2 (Svc.Stats.to_canonical_json r))
@@ -774,10 +784,10 @@ let e16_stream ~quick ~update =
        | Ok jobs -> jobs
        | Error e -> failwith e
      in
-     let batch =
-       Svc.Pool.run ~workers:1 ~make_engine:(fresh_engine "c1") cjobs
+     let batch_lines =
+       Svc.Stats.canonical_lines
+         (run_batch ~make_engine:(fresh_engine "c1") cjobs)
      in
-     let batch_lines = Svc.Stats.canonical_lines batch.Svc.Pool.reports in
      let socket_path = Filename.concat dir "e16.sock" in
      let cfg =
        {
@@ -899,14 +909,14 @@ let e16_stream ~quick ~update =
   in
   let timing_d = Svc.Timing.create () in
   let outcome_d =
-    Svc.Pool.run_stream ~timing:timing_d ~workers:1
-      ~make_engine:(fun wt ->
+    Svc.Pool.run_once ~timing:timing_d ~workers:1
+      ~make_engine:(fun ~worker:_ wt ->
         Svc.Engine.create ~cache_cap:256
           ~cache_dir:(Filename.concat dir "cache_pressure")
           ~base_dir:dir ~write_batch:16 ?timing:wt ())
       (fun feed -> Svc.Workload.iter specd ~f:feed)
   in
-  let sd = outcome_d.Svc.Pool.stream_store in
+  let sd = outcome_d.Svc.Pool.store_stats in
   let negatives = sd.Svc.Cert_store.filter_skips + sd.Svc.Cert_store.filter_fps in
   Printf.printf
     "pressure (cap=256, u=%d, t=%d): disk_loads=%d filter_hits=%d \
@@ -926,7 +936,7 @@ let e16_stream ~quick ~update =
        < 0.05)
     "E16d: filter false-positive rate above 5%";
   check
-    (outcome_d.Svc.Pool.stream_summary.Svc.Stats.s_jobs = totald)
+    (outcome_d.Svc.Pool.summary.Svc.Stats.s_jobs = totald)
     "E16d: pressure run lost jobs";
   print_newline ();
   !fail
@@ -952,16 +962,21 @@ let scale () =
   let run_at n =
     let cache_dir = Filename.concat dir (Printf.sprintf "cache_w%d" n) in
     let timing = Svc.Timing.create () in
-    let make_engine wt =
+    let make_engine ~worker:_ wt =
       Svc.Engine.create ~cache_cap:1024 ~cache_dir ~base_dir:dir ?timing:wt ()
     in
     let t0 = Unix.gettimeofday () in
-    let outcome = Svc.Pool.run ~timing ~workers:n ~make_engine jobs in
+    let reports = ref [] in
+    let outcome =
+      Svc.Pool.run_once
+        ~emit:(fun r -> reports := r :: !reports)
+        ~timing ~workers:n ~make_engine (Svc.Pool.in_id_order jobs)
+    in
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let snap =
       Svc.Cert_store.disk_snapshot (Svc.Cert_store.create ~dir:cache_dir ())
     in
-    (n, wall_ms, outcome, Svc.Stats.canonical_lines outcome.Svc.Pool.reports,
+    (n, wall_ms, outcome, Svc.Stats.canonical_lines !reports,
      snap, Svc.Timing.report timing)
   in
   let results = List.map run_at sweep in

@@ -3,11 +3,12 @@
    certificate cache), emit one JSON line per job, and report aggregate
    throughput.
 
-   With --jobs N > 1 the manifest is sharded across N worker processes
-   (stable hash of job id); each worker owns a private in-memory cache
-   tier while all workers share the on-disk tier (--cache-dir), and the
-   merged output is emitted in canonical job-id order — byte-comparable
-   with a --jobs 1 run of the same manifest.
+   With --jobs N > 1 the jobs are sharded across N long-lived worker
+   processes (stable hash of job id) that serve every --passes pass;
+   each worker owns a private in-memory cache tier while all workers
+   share the on-disk tier (--cache-dir). A batch runs the manifest in
+   job-id order and emits in that order at every N, so its output is
+   byte-comparable with a --jobs 1 run of the same manifest.
 
    With --connect SOCKET the binary is a client of a running
    certd-server daemon instead: jobs are submitted over the unix-domain
@@ -357,6 +358,16 @@ let load_edit_lines file =
       in
       go []
 
+(* --jsonl FILE, or '-' for stdout *)
+let open_jsonl = function
+  | None -> None
+  | Some "-" -> Some stdout
+  | Some f -> Some (open_out f)
+
+let close_jsonl = function
+  | Some oc when oc != stdout -> close_out oc
+  | _ -> ()
+
 let run_client ~socket_path ~window ~deadline_ms ~server_stats
     ~server_shutdown ~manifest ~base_dir ~jsonl ~canonical ~quiet ~edits
     ~edits_full ~session =
@@ -419,12 +430,7 @@ let run_client ~socket_path ~window ~deadline_ms ~server_stats
             | Service.Manifest.Generated _ -> j)
           jobs
       in
-      let jsonl_oc =
-        match jsonl with
-        | None -> None
-        | Some "-" -> Some stdout
-        | Some f -> Some (open_out f)
-      in
+      let jsonl_oc = open_jsonl jsonl in
       let emit ~id ~status ~json ~canonical:canonical_line =
         (match jsonl_oc with
         | Some oc ->
@@ -466,9 +472,7 @@ let run_client ~socket_path ~window ~deadline_ms ~server_stats
               finish 2)
       | None ->
           client_submit fd ~socket_path ~window ~deadline_ms ~emit ~failed jobs);
-      (match jsonl_oc with
-      | Some oc when oc != stdout -> close_out oc
-      | _ -> ());
+      close_jsonl jsonl_oc;
       finish (if !failed then 1 else 0)
 
 exception Stream_input of string
@@ -534,12 +538,13 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
   in
   let streaming = stream || workload_spec <> None in
   let workers =
-    match njobs with
-    | 0 -> Service.Pool.default_workers ()
-    | n when n >= 1 -> n
-    | n ->
-        Printf.eprintf "certd: --jobs must be >= 1 (got %d)\n" n;
-        exit 2
+    if njobs = 0 then Service.Pool.default_workers ()
+    else
+      match Service.Worker.check_count njobs with
+      | Ok n -> n
+      | Error e ->
+          Printf.eprintf "certd: --jobs %s\n" e;
+          exit 2
   in
   let plan =
     match faults with
@@ -551,10 +556,17 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
             exit 2
         | Ok plan -> Some plan)
   in
-  (* Called once per worker, inside it: each worker gets a private
-     memory tier and its own fault-plan counters; the disk tier
-     (--cache-dir) is the shared one. *)
-  let make_engine ~base_dir timing =
+  let base_dir =
+    match base_dir with
+    | Some d -> d
+    | None -> (
+        match manifest with Some m -> Filename.dirname m | None -> ".")
+  in
+  (* Called once per worker, inside it (or once, in-process, at
+     --jobs 1): each worker gets a private memory tier and its own
+     fault-plan counters; the disk tier (--cache-dir) is the shared
+     one. *)
+  let make_engine ~worker:_ timing =
     let io =
       Option.map
         (fun plan -> fst (Service.Blob_io.inject ~plan Service.Blob_io.real))
@@ -563,183 +575,96 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
     Service.Engine.create ~cache_cap ?cache_dir ~cache_disk_cap:disk_cap
       ~write_batch ?io ~base_dir ?timing ()
   in
-  let jobs_or_stream =
-    if streaming then `Stream
-    else
-      match Service.Manifest.load_file (Option.get manifest) with
-      | Error e ->
-          Printf.eprintf "certd: %s\n" e;
-          exit 2
-      | Ok jobs -> `Jobs jobs
-  in
-  match jobs_or_stream with
-  | (`Jobs _ | `Stream) as jobs_or_stream ->
-      let base_dir =
-        match base_dir with
-        | Some d -> d
-        | None -> (
-            match manifest with Some m -> Filename.dirname m | None -> ".")
-      in
-      let make_engine = make_engine ~base_dir in
-      let timing = Service.Timing.create () in
-      (* the first engine doubles as the probe: an uncreatable cache
-         directory (or a fault plan whose op 1 is that very mkdir)
-         surfaces as a clean error before any output. In sequential
-         mode this engine IS the engine, so its orphan sweep lands in
-         the footer; in sharded mode the workers build their own (with
-         fresh fault-plan counters) and this one's store counters are
-         folded into the cold pass's footer instead of being lost *)
-      let first_engine =
-        try make_engine (Some timing) with
-        | Sys_error e ->
+  (* batch mode runs the whole manifest in id order, so reports come
+     out canonical; --stream and --workload feed jobs one at a time, in
+     feed order, never materializing the corpus *)
+  let produce =
+    match workload_spec with
+    | Some spec -> fun feed -> Service.Workload.iter spec ~f:feed
+    | None when streaming -> (
+        fun feed ->
+          match Service.Manifest.iter_file (Option.get manifest) ~f:feed with
+          | Ok () -> ()
+          | Error e -> raise (Stream_input e))
+    | None -> (
+        match Service.Manifest.load_file (Option.get manifest) with
+        | Error e ->
             Printf.eprintf "certd: %s\n" e;
             exit 2
-        | Service.Blob_io.Crashed p ->
-            Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;
-            exit 3
-      in
-      let jsonl_oc =
-        match jsonl with
-        | None -> None
-        | Some "-" -> Some stdout
-        | Some f -> Some (open_out f)
-      in
-      let failed = ref false in
-      let emit (r : Service.Stats.job_report) =
-        (match jsonl_oc with
-        | Some oc ->
-            output_string oc
-              (if canonical then Service.Stats.to_canonical_json r
-               else Service.Stats.to_json r);
-            output_char oc '\n'
-        | None -> ());
-        if Service.Stats.is_failure r.Service.Stats.r_status then
-          failed := true;
-        if not quiet then
-          Printf.printf "%-12s %-18s k=%d n=%-5d m=%-5d %-13s %8.2f ms%s\n%!"
-            r.Service.Stats.r_id r.Service.Stats.r_property
-            r.Service.Stats.r_k r.Service.Stats.r_n r.Service.Stats.r_m
-            (Service.Stats.status_name r.Service.Stats.r_status)
-            r.Service.Stats.r_total_ms
-            (if r.Service.Stats.r_cache_hit then "  [cache hit]" else "")
-      in
-      let last_store = ref None in
-      let finish code =
-        (match !last_store with
-        | Some (stats, degraded) ->
-            Format.printf "store: %a%s@." Service.Cert_store.pp_stats stats
-              (if degraded then " [DEGRADED: memory-only]" else "")
-        | None -> ());
-        Format.printf "%a@." Service.Timing.pp timing;
-        (match jsonl_oc with
-        | Some oc when oc != stdout -> close_out oc
-        | _ -> ());
-        exit code
-      in
-      (try
-         match jobs_or_stream with
-         | `Jobs jobs ->
-             if workers = 1 then begin
-               (* classic path: one engine for every pass, so --passes
-                  warms the in-memory tier even without --cache-dir *)
-               let engine = first_engine in
-               for pass = 1 to passes do
-                 if not quiet && passes > 1 then
-                   Printf.printf "--- pass %d/%d %s\n" pass passes
-                     (if pass = 1 then "(cold)" else "(warm)");
-                 let _, summary = Service.Engine.run_jobs ~emit engine jobs in
-                 Format.printf "%a@." Service.Stats.pp_summary summary;
-                 let store = Service.Engine.store engine in
-                 last_store :=
-                   Some
-                     ( Service.Cert_store.stats store,
-                       Service.Cert_store.degraded store )
-               done
-             end
-             else begin
-               let probe_stats =
-                 Service.Cert_store.stats (Service.Engine.store first_engine)
-               in
-               for pass = 1 to passes do
-                 if not quiet && passes > 1 then
-                   Printf.printf "--- pass %d/%d %s\n" pass passes
-                     (if pass = 1 then "(cold)"
-                      else "(warm via shared disk tier)");
-                 let outcome =
-                   (* on Ctrl-C the pool reaps its workers, then this
-                      sweep removes their half-written .tmp spool files
-                      from the shared disk tier *)
-                   Service.Pool.run ~emit ~timing ~workers ~make_engine
-                     ?on_interrupt:
-                       (Option.map
-                          (fun dir () ->
-                            ignore (Service.Pool.sweep_tmp_files dir : int))
-                          cache_dir)
-                     jobs
-                 in
-                 Format.printf "%a@." Service.Stats.pp_summary
-                   outcome.Service.Pool.summary;
-                 let stats =
-                   if pass = 1 then
-                     Service.Cert_store.add_stats probe_stats
-                       outcome.Service.Pool.store_stats
-                   else outcome.Service.Pool.store_stats
-                 in
-                 last_store := Some (stats, outcome.Service.Pool.degraded)
-               done
-             end
-         | `Stream ->
-             (* corpus-scale path: never a whole-corpus job list. Jobs
-                stream from the manifest (or the workload generator)
-                into Pool.run_stream, which emits reports in feed
-                order. A generated workload's ids are sorted, so its
-                stream is byte-identical to the batch driver's
-                id-sorted canonical JSONL at any --jobs count. *)
-             let produce feed =
-               match workload_spec with
-               | Some spec -> Service.Workload.iter spec ~f:feed
-               | None -> (
-                   match
-                     Service.Manifest.iter_file (Option.get manifest) ~f:feed
-                   with
-                   | Ok () -> ()
-                   | Error e -> raise (Stream_input e))
-             in
-             let probe_stats =
-               Service.Cert_store.stats (Service.Engine.store first_engine)
-             in
-             for pass = 1 to passes do
-               if not quiet && passes > 1 then
-                 Printf.printf "--- pass %d/%d %s\n" pass passes
-                   (if pass = 1 then "(cold)"
-                    else "(warm via shared disk tier)");
-               let outcome =
-                 Service.Pool.run_stream ~emit ~timing ~workers ~make_engine
-                   ?on_interrupt:
-                     (Option.map
-                        (fun dir () ->
-                          ignore (Service.Pool.sweep_tmp_files dir : int))
-                        cache_dir)
-                   produce
-               in
-               Format.printf "%a@." Service.Stats.pp_summary
-                 outcome.Service.Pool.stream_summary;
-               let stats =
-                 if pass = 1 then
-                   Service.Cert_store.add_stats probe_stats
-                     outcome.Service.Pool.stream_store
-                 else outcome.Service.Pool.stream_store
-               in
-               last_store := Some (stats, outcome.Service.Pool.stream_degraded)
-             done
-       with
-       | Service.Blob_io.Crashed p ->
-           Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;
-           finish 3
-       | Stream_input e ->
-           Printf.eprintf "certd: %s\n" e;
-           finish 2);
-      finish (if !failed then 1 else 0)
+        | Ok jobs -> Service.Pool.in_id_order jobs)
+  in
+  let timing = Service.Timing.create () in
+  (* the probe engine: an uncreatable cache directory (or a fault plan
+     whose op 1 is that very mkdir) surfaces as a clean error before
+     any output or fork. At --jobs 1 it is the engine; with workers it
+     only adds its store counters (say, an orphan sweep) to the footer *)
+  let probe =
+    try make_engine ~worker:0 (Some timing) with
+    | Sys_error e ->
+        Printf.eprintf "certd: %s\n" e;
+        exit 2
+    | Service.Blob_io.Crashed p ->
+        Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;
+        exit 3
+  in
+  let jsonl_oc = open_jsonl jsonl in
+  let failed = ref false in
+  let emit (r : Service.Stats.job_report) =
+    (match jsonl_oc with
+    | Some oc ->
+        output_string oc
+          (if canonical then Service.Stats.to_canonical_json r
+           else Service.Stats.to_json r);
+        output_char oc '\n'
+    | None -> ());
+    if Service.Stats.is_failure r.Service.Stats.r_status then failed := true;
+    if not quiet then
+      Printf.printf "%-12s %-18s k=%d n=%-5d m=%-5d %-13s %8.2f ms%s\n%!"
+        r.Service.Stats.r_id r.Service.Stats.r_property r.Service.Stats.r_k
+        r.Service.Stats.r_n r.Service.Stats.r_m
+        (Service.Stats.status_name r.Service.Stats.r_status)
+        r.Service.Stats.r_total_ms
+        (if r.Service.Stats.r_cache_hit then "  [cache hit]" else "")
+  in
+  let finish ?store code =
+    (match store with
+    | Some (stats, degraded) ->
+        Format.printf "store: %a%s@." Service.Cert_store.pp_stats stats
+          (if degraded then " [DEGRADED: memory-only]" else "")
+    | None -> ());
+    Format.printf "%a@." Service.Timing.pp timing;
+    close_jsonl jsonl_oc;
+    exit code
+  in
+  (* the workers are forked once and serve every pass, so pass 2+ hits
+     their warm memory tiers with or without --cache-dir. On Ctrl-C the
+     pool reaps them, then this sweep removes their half-written .tmp
+     spool files from the shared disk tier. *)
+  match
+    let pool =
+      Service.Pool.start ~timing ~engine:probe ~workers ~make_engine
+        ?on_interrupt:
+          (Option.map
+             (fun dir () -> ignore (Service.Pool.sweep_tmp_files dir : int))
+             cache_dir)
+        ()
+    in
+    for pass = 1 to passes do
+      if not quiet && passes > 1 then
+        Printf.printf "--- pass %d/%d %s\n" pass passes
+          (if pass = 1 then "(cold)" else "(warm)");
+      Format.printf "%a@." Service.Stats.pp_summary
+        (Service.Pool.run ~emit pool produce)
+    done;
+    Service.Pool.stop pool
+  with
+  | store -> finish ~store (if !failed then 1 else 0)
+  | exception Service.Blob_io.Crashed p ->
+      Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;
+      finish 3
+  | exception Stream_input e ->
+      Printf.eprintf "certd: %s\n" e;
+      finish 2
 
 open Cmdliner
 
@@ -826,11 +751,14 @@ let njobs =
     value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Shard the manifest across $(docv) worker processes (stable \
-           hash of job id). Each worker has a private in-memory cache \
-           tier; all workers share the --cache-dir disk tier. Output is \
-           merged in canonical job-id order. 0 (the default) means the \
-           machine's core count.")
+          (Printf.sprintf
+             "Shard the manifest across $(docv) worker processes (stable \
+              hash of job id), at most %d. Each worker has a private \
+              in-memory cache tier that stays warm across --passes; all \
+              workers share the --cache-dir disk tier. Output is emitted \
+              in canonical job-id order. 0 (the default) means the \
+              machine's core count."
+             Service.Worker.max_workers))
 
 let quiet =
   Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress per-job progress lines.")

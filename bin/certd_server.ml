@@ -101,10 +101,11 @@ let supervise serve =
 let run socket workers queue_cap client_cap cache_cap cache_dir disk_cap
     degrade_after deadline_ms faults base_dir timed quiet journal_dir fsync
     checkpoint_every supervise_flag write_batch =
-  if workers < 1 then begin
-    prerr_endline "certd-server: --workers must be >= 1";
-    exit 2
-  end;
+  (match Service.Worker.check_count workers with
+  | Ok _ -> ()
+  | Error e ->
+      Printf.eprintf "certd-server: --workers %s\n" e;
+      exit 2);
   if write_batch < 1 then begin
     prerr_endline "certd-server: --write-batch must be >= 1";
     exit 2
@@ -196,7 +197,11 @@ let workers =
   Arg.(
     value & opt int 2
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Long-lived worker processes in the supervised pool.")
+        ~doc:
+          (Printf.sprintf
+             "Long-lived worker processes in the supervised pool, at most \
+              %d."
+             Service.Worker.max_workers))
 
 let queue_cap =
   Arg.(

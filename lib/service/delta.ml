@@ -116,23 +116,9 @@ let memo_totals () =
   let get k = Option.value ~default:0 (List.assoc_opt k l) in
   (get "memo_hit", get "memo_miss")
 
-let base_report (job : Manifest.job) ~id ?(n = 0) ?(m = 0) ~t0 status =
-  {
-    Stats.r_id = id;
-    r_property = job.Manifest.property;
-    r_k = job.Manifest.k;
-    r_n = n;
-    r_m = m;
-    r_status = status;
-    r_cache_hit = false;
-    r_prove_ms = 0.0;
-    r_verify_ms = 0.0;
-    r_total_ms = now_ms () -. t0;
-    r_label_bits = 0;
-    r_bundle_bits = 0;
-    r_reject_reasons = [];
-    r_retries = 0;
-  }
+let base_report (job : Manifest.job) ~id ?n ?m ~t0 status =
+  Stats.bare_report ~id ~property:job.Manifest.property ~k:job.Manifest.k ?n
+    ?m ~total_ms:(now_ms () -. t0) status
 
 let create ?retry engine (job : Manifest.job) =
   let t0 = now_ms () in

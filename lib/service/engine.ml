@@ -149,23 +149,9 @@ let default_rep c =
 
 let run_once t (job : Manifest.job) : Stats.job_report =
   let t0 = now_ms () in
-  let base ?(n = 0) ?(m = 0) status =
-    {
-      Stats.r_id = job.job_id;
-      r_property = job.property;
-      r_k = job.k;
-      r_n = n;
-      r_m = m;
-      r_status = status;
-      r_cache_hit = false;
-      r_prove_ms = 0.0;
-      r_verify_ms = 0.0;
-      r_total_ms = now_ms () -. t0;
-      r_label_bits = 0;
-      r_bundle_bits = 0;
-      r_reject_reasons = [];
-      r_retries = 0;
-    }
+  let base ?n ?m status =
+    Stats.bare_report ~id:job.job_id ~property:job.property ~k:job.k ?n ?m
+      ~total_ms:(now_ms () -. t0) status
   in
   match
     Timing.time t.timing Timing.Parse (fun () ->
@@ -306,53 +292,16 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                             r_total_ms = now_ms () -. t0;
                           })))))
 
-(* The total, retrying entry point: every job reaches a terminal status.
+(* The total, retrying entry point for "a job-shaped computation": every
+   step reaches a terminal status. [Delta] sits above the engine in the
+   module graph (it needs the registry and the store), so its session
+   steps come through here as a closure: the step must be effect-free
+   until it returns — a retried attempt reruns it whole — and commits
+   its session state exactly when it produces a report.
    [?retry] overrides the engine's policy for this one job — the daemon
    uses it to honor a per-job deadline carried in the request without
-   rebuilding the (long-lived, cache-warm) engine. *)
-let run_job ?retry:retry_override t (job : Manifest.job) : Stats.job_report =
-  let t0 = now_ms () in
-  let retry = Option.value retry_override ~default:t.retry in
-  match with_retries ~retry ~now:now_ms (fun _attempt -> run_once t job) with
-  | Ok (report, retries) ->
-      let report =
-        { report with Stats.r_retries = retries; r_total_ms = now_ms () -. t0 }
-      in
-      (* a success under a demoted (memory-only) store is still a
-         success, but the operator must see it in the status *)
-      if
-        Cert_store.degraded t.store
-        &&
-        match report.Stats.r_status with
-        | Stats.Served_fresh | Stats.Served_cached -> true
-        | _ -> false
-      then { report with Stats.r_status = Stats.Served_degraded }
-      else report
-  | Error (msg, retries) ->
-      {
-        Stats.r_id = job.job_id;
-        r_property = job.property;
-        r_k = job.k;
-        r_n = 0;
-        r_m = 0;
-        r_status = Stats.Failed msg;
-        r_cache_hit = false;
-        r_prove_ms = 0.0;
-        r_verify_ms = 0.0;
-        r_total_ms = now_ms () -. t0;
-        r_label_bits = 0;
-        r_bundle_bits = 0;
-        r_reject_reasons = [];
-        r_retries = retries;
-      }
-
-(* The delta-session entry point: the same totality/retry/degraded
-   contract as [run_job], for a step computed by the caller. [Delta]
-   sits above the engine in the module graph (it needs the registry and
-   the store), so the engine only sees "a job-shaped computation": the
-   step must be effect-free until it returns — a retried attempt reruns
-   it whole — and commits its session state exactly when it produces a
-   report. [Blob_io.Crashed] propagates, as everywhere. *)
+   rebuilding the (long-lived, cache-warm) engine. [Blob_io.Crashed]
+   propagates, as everywhere. *)
 let run_delta_job ?retry:retry_override t ~job_id ~property ~k
     ~(fallback_info : 'info) (step : attempt:int -> Stats.job_report * 'info) :
     Stats.job_report * 'info =
@@ -363,6 +312,8 @@ let run_delta_job ?retry:retry_override t ~job_id ~property ~k
       let report =
         { report with Stats.r_retries = retries; r_total_ms = now_ms () -. t0 }
       in
+      (* a success under a demoted (memory-only) store is still a
+         success, but the operator must see it in the status *)
       let report =
         if
           Cert_store.degraded t.store
@@ -375,38 +326,25 @@ let run_delta_job ?retry:retry_override t ~job_id ~property ~k
       in
       (report, info)
   | Error (msg, retries) ->
-      ( {
-          Stats.r_id = job_id;
-          r_property = property;
-          r_k = k;
-          r_n = 0;
-          r_m = 0;
-          r_status = Stats.Failed msg;
-          r_cache_hit = false;
-          r_prove_ms = 0.0;
-          r_verify_ms = 0.0;
-          r_total_ms = now_ms () -. t0;
-          r_label_bits = 0;
-          r_bundle_bits = 0;
-          r_reject_reasons = [];
-          r_retries = retries;
-        },
+      ( Stats.bare_report ~id:job_id ~property ~k ~total_ms:(now_ms () -. t0)
+          ~retries (Stats.Failed msg),
         fallback_info )
 
-(* Copy the process-global composition-memo counters and the GC minor
-   allocation count into the timing sink, where they render next to the
-   histogram and merge across pool workers. Counters are process-wide
-   cumulative totals, so [set_counter] (overwrite) keeps one snapshot
-   per process; the pool's [absorb] then sums across processes. *)
-let snapshot_counters t =
+let run_job ?retry t (job : Manifest.job) : Stats.job_report =
+  fst
+    (run_delta_job ?retry t ~job_id:job.job_id ~property:job.property ~k:job.k
+       ~fallback_info:() (fun ~attempt:_ -> (run_once t job, ())))
+
+(* Copy the store's negative-lookup filter and group-commit traffic and
+   the GC minor allocation count into the timing sink, where they
+   render next to the histogram (certd footer, --server-stats) and
+   merge across workers. They are cumulative totals of this process,
+   so [set_counter] (overwrite) keeps one snapshot per process and a
+   driver's [absorb] sums across processes. *)
+let snapshot_store_counters t =
   match t.timing with
   | None -> ()
   | Some timing ->
-      List.iter
-        (fun (name, v) -> Timing.set_counter timing name v)
-        (Lcp_cert.Memo.counters ());
-      (* negative-lookup filter and group-commit traffic, so the certd
-         footer and --server-stats can show disk probes saved/paid *)
       let s = Cert_store.stats t.store in
       Timing.set_counter timing "filter_hit" s.Cert_store.filter_hits;
       Timing.set_counter timing "filter_skip" s.Cert_store.filter_skips;
@@ -414,6 +352,18 @@ let snapshot_counters t =
       Timing.set_counter timing "store_flush" s.Cert_store.flushes;
       Timing.set_counter timing "minor_words"
         (int_of_float (Gc.minor_words ()))
+
+(* [snapshot_store_counters] plus the process-global composition-memo
+   counters. A worker ships the memo counters as per-job deltas
+   instead, so it takes only the store snapshot. *)
+let snapshot_counters t =
+  (match t.timing with
+  | None -> ()
+  | Some timing ->
+      List.iter
+        (fun (name, v) -> Timing.set_counter timing name v)
+        (Lcp_cert.Memo.counters ()));
+  snapshot_store_counters t
 
 (* Reports are emitted and returned in canonical order (sorted by job
    id), not arrival order, so the JSONL stream of a sequential run is

@@ -1,40 +1,37 @@
-(** The parallel sharded execution layer: run a job manifest across N
-    worker {e processes} and merge the results into exactly the stream
-    the sequential engine would have produced.
+(** The local execution layer: run a stream of jobs in this process or
+    across N long-lived {!Worker} processes, and emit every report in
+    feed order — a feed sorted by job id therefore emits exactly the
+    canonical stream the sequential engine produces.
 
     Design invariants, in decreasing order of importance:
 
     {ol
     {- {b Determinism of assignment.} A job's worker is the stable
        64-bit FNV-1a hash of its job id modulo N — a pure function of
-       the manifest, never of arrival order, load, or scheduling. Two
-       runs of the same manifest at the same N shard identically.}
+       the job, never of arrival order, load, or scheduling.}
     {- {b Per-worker memory, shared disk.} Each worker builds its own
-       engine after [fork], so the in-memory LRU tier of the
-       certificate store is process-private — no locks, no shared
-       mutable state. The on-disk tier may be shared by pointing every
-       worker at the same cache directory: its writes are atomic
-       (tmp-then-rename, worker-unique tmp names) and every bundle read
-       from it is re-verified by the reading worker before serving, so
-       a concurrent writer can change {e latency} but never
-       {e judgements}.}
-    {- {b Canonical merge.} Workers ship their reports back over a pipe
-       ([Marshal]); the parent concatenates, sorts by job id (the same
-       canonical order [Engine.run_jobs] emits), merges the raw timing
-       samples, and sums the per-store counters. The canonical
-       projection of the output ([Stats.to_canonical_json]) is
-       byte-identical across all N.}
+       engine after the fork, so the in-memory tier of the certificate
+       store is process-private — no locks, no shared mutable state.
+       Workers live from {!start} to {!stop}, so their memory tiers
+       stay warm across every {!run} (pass) in between. The on-disk
+       tier may be shared by pointing every worker at one cache
+       directory: its writes are atomic (tmp-then-rename, worker-unique
+       tmp names) and every bundle read from it is re-verified by the
+       reading worker before serving, so a concurrent writer can
+       change {e latency} but never {e judgements}.}
+    {- {b Bounded memory.} At most a window of jobs is in flight (fed
+       but not yet emitted); the producer blocks when it is full, so
+       parent memory is bounded regardless of corpus size. Reports are
+       emitted one at a time and never accumulated.}
     {- {b Crash semantics.} A worker that hits [Blob_io.Crashed] — a
-       simulated process death — reports it instead of a result; after
-       every worker is reaped the parent re-raises [Crashed], so a
-       crash anywhere still kills the whole batch, exactly as in the
-       sequential path. Any other escaped exception in a worker (there
-       should be none: [Engine.run_job] is total) surfaces as
-       [Failure].}}
+       simulated process death — sends a [Crashed] frame and exits;
+       the pool stops feeding, lets the other workers finish what they
+       hold, reaps every one, and re-raises [Crashed], so a crash
+       anywhere kills the whole batch, as in the sequential path. A
+       worker that dies without a word surfaces as [Failure].}}
 
-    Workers are plain [Unix.fork] children: no threads, no domains, so
-    this runs on any OCaml the container ships, and a wedged worker can
-    be killed without taking the parent down. *)
+    With one worker the jobs run in-process on one engine: same engine
+    code, no fork, and [Crashed] propagates directly. *)
 
 module Hash64 = Lcp_util.Hash64
 
@@ -51,105 +48,10 @@ let shard_of ~workers job_id =
     let h = Int64.logand h Int64.max_int in
     Int64.to_int (Int64.rem h (Int64.of_int workers))
 
-let shard ~workers jobs =
-  let shards = Array.make (max 1 workers) [] in
-  List.iter
-    (fun (j : Manifest.job) ->
-      let w = shard_of ~workers j.Manifest.job_id in
-      shards.(w) <- j :: shards.(w))
-    jobs;
-  Array.map List.rev shards
-
-(** Core count of this machine — the default N for [certd --jobs]. *)
-let default_workers () = max 1 (Domain.recommended_domain_count ())
-
-(* ---------------------------------------------------------------- *)
-(* the fork/pipe plumbing                                            *)
-
-type worker_payload =
-  | W_ok of
-      Stats.job_report list
-      * Timing.samples
-      * Cert_store.stats
-      * bool (* store degraded? *)
-  | W_crashed of string  (** simulated process death: path of the op *)
-  | W_error of string  (** an exception escaped Engine.run_job — a bug *)
-
-let write_all fd (b : Bytes.t) =
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let read_all fd =
-  let buf = Buffer.create 65536 in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-  in
-  go ();
-  Buffer.to_bytes buf
-
-(* the whole life of a worker: fresh engine, run the shard, marshal the
-   payload up the pipe, and _exit without touching the parent's
-   buffered channels *)
-let worker_main ~make_engine ~timed shard wfd =
-  let payload =
-    try
-      let wt = if timed then Some (Timing.create ()) else None in
-      let engine = make_engine wt in
-      let reports = List.map (Engine.run_job engine) shard in
-      Engine.flush engine;
-      Engine.snapshot_counters engine;
-      let store = Engine.store engine in
-      W_ok
-        ( reports,
-          (match wt with
-          | Some t -> Timing.samples t
-          | None -> Timing.samples (Timing.create ())),
-          Cert_store.stats store,
-          Cert_store.degraded store )
-    with
-    | Blob_io.Crashed p -> W_crashed p
-    | e -> W_error (Printexc.to_string e)
-  in
-  (try write_all wfd (Marshal.to_bytes payload []) with _ -> ());
-  (try Unix.close wfd with Unix.Unix_error _ -> ())
-
-(* ---------------------------------------------------------------- *)
-(* the pool driver                                                   *)
-
-type outcome = {
-  reports : Stats.job_report list;  (** canonical order: sorted by job id *)
-  summary : Stats.summary;
-  store_stats : Cert_store.stats;  (** summed over every worker's store *)
-  degraded : bool;  (** did any worker's store demote to memory-only? *)
-}
-
-let empty_stats () =
-  {
-    Cert_store.hits = 0;
-    misses = 0;
-    insertions = 0;
-    evictions = 0;
-    disk_loads = 0;
-    drops = 0;
-    disk_errors = 0;
-    corrupt = 0;
-    quarantined = 0;
-    orphans_swept = 0;
-    gc_evictions = 0;
-    quarantine_evictions = 0;
-    filter_hits = 0;
-    filter_skips = 0;
-    filter_fps = 0;
-    flushes = 0;
-  }
+(** Core count of this machine, capped at {!Worker.max_workers} — the
+    default N for [certd --jobs]. *)
+let default_workers () =
+  min Worker.max_workers (max 1 (Domain.recommended_domain_count ()))
 
 (* spool files are named "<record>.<pid>.tmp" by the store; the pid
    names the owner, so a sweep can tell debris from live work *)
@@ -191,529 +93,314 @@ let sweep_tmp_files dir =
           | Some _ | None -> acc)
         0 files
 
-(* N = 1 runs in-process: same engine code, no fork, and [Crashed]
-   propagates directly — byte-compatible with the sequential driver *)
-let run_inline ?timing ~make_engine emit jobs =
-  let engine = make_engine timing in
-  let reports = Stats.sort_reports (List.map (Engine.run_job engine) jobs) in
-  List.iter emit reports;
-  Engine.flush engine;
-  Engine.snapshot_counters engine;
-  let store = Engine.store engine in
-  {
-    reports;
-    summary = Stats.summarize reports;
-    store_stats = Cert_store.stats store;
-    degraded = Cert_store.degraded store;
-  }
-
-(** Run [jobs] across [workers] processes. [make_engine] is called once
-    {e inside} each worker (after the fork) with that worker's timing
-    sink, so every worker owns a private engine and memory tier; point
-    the engines at one cache directory to share the disk tier. [emit]
-    fires in the parent, once per report, in canonical (job-id) order,
-    after all workers finish. Raises [Blob_io.Crashed] if any worker
-    simulated a crash — after all workers were reaped.
-
-    While workers are alive, SIGINT is owned by the pool: the handler
-    kills and reaps every child (no orphans holding the shared cache
-    directory), runs [on_interrupt] (the driver passes a tmp-file sweep
-    of that directory here), and exits 130 — instead of the default
-    behavior, which killed the parent and left children running and
-    half-written [.tmp] files behind. *)
-let run ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
-    ~workers ~make_engine jobs =
-  let workers = max 1 workers in
-  if workers = 1 then run_inline ?timing ~make_engine emit jobs
-  else begin
-    let shards = shard ~workers jobs in
-    (* a child forked mid-buffer would duplicate whatever the parent
-       had not flushed yet *)
-    flush stdout;
-    flush stderr;
-    let spawned =
-      Array.to_list shards
-      |> List.filter_map (fun shard ->
-             if shard = [] then None
-             else begin
-               let rfd, wfd = Unix.pipe ~cloexec:false () in
-               match Unix.fork () with
-               | 0 ->
-                   (* child: run the shard, report, die quietly. _exit,
-                      not exit — at_exit handlers belong to the parent *)
-                   Unix.close rfd;
-                   worker_main ~make_engine
-                     ~timed:(timing <> None)
-                     shard wfd;
-                   Unix._exit 0
-               | pid ->
-                   Unix.close wfd;
-                   Some (pid, rfd)
-             end)
-    in
-    (* own SIGINT while children are alive: kill them, reap them, let
-       the driver sweep its cache debris, and exit with the
-       conventional 130 *)
-    let prev_int =
-      Sys.signal Sys.sigint
-        (Sys.Signal_handle
-           (fun _ ->
-             List.iter
-               (fun (pid, _) ->
-                 try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-               spawned;
-             List.iter
-               (fun (pid, _) ->
-                 try ignore (Unix.waitpid [] pid)
-                 with Unix.Unix_error _ -> ())
-               spawned;
-             (match on_interrupt with
-             | Some f -> ( try f () with _ -> ())
-             | None -> ());
-             exit 130))
-    in
-    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint prev_int)
-    @@ fun () ->
-    (* drain every pipe before reaping: a worker blocked writing a large
-       payload must not deadlock against a parent blocked in waitpid *)
-    let payloads =
-      List.map
-        (fun (pid, rfd) ->
-          let bytes = read_all rfd in
-          Unix.close rfd;
-          let payload =
-            if Bytes.length bytes = 0 then
-              W_error "worker died before reporting"
-            else
-              try (Marshal.from_bytes bytes 0 : worker_payload)
-              with Failure _ ->
-                W_error "worker payload truncated or corrupt"
-          in
-          ignore (Unix.waitpid [] pid);
-          payload)
-        spawned
-    in
-    let crashed =
-      List.find_map
-        (function W_crashed p -> Some p | _ -> None)
-        payloads
-    in
-    (match crashed with Some p -> raise (Blob_io.Crashed p) | None -> ());
-    (match
-       List.find_map (function W_error e -> Some e | _ -> None) payloads
-     with
-    | Some e -> failwith (Printf.sprintf "Pool.run: worker failed: %s" e)
-    | None -> ());
-    let reports, store_stats, degraded =
-      List.fold_left
-        (fun (rs, ss, deg) -> function
-          | W_ok (wr, samples, wss, wdeg) ->
-              (match timing with
-              | Some t -> Timing.absorb t samples
-              | None -> ());
-              (wr @ rs, Cert_store.add_stats ss wss, deg || wdeg)
-          | W_crashed _ | W_error _ -> (rs, ss, deg))
-        ([], empty_stats (), false)
-        payloads
-    in
-    let reports = Stats.sort_reports reports in
-    List.iter emit reports;
-    { reports; summary = Stats.summarize reports; store_stats; degraded }
-  end
-
 (* ---------------------------------------------------------------- *)
-(* the streaming driver                                              *)
+(* the driver                                                        *)
 
-(** Outcome of a streaming run: only aggregates — the reports were
-    emitted one at a time and never accumulated. *)
-type stream_outcome = {
-  stream_summary : Stats.summary;
-  stream_store : Cert_store.stats;  (** summed over every worker's store *)
-  stream_degraded : bool;
+(* parent-side view of one worker *)
+type slot = {
+  w : Worker.t;  (** its job pipe is nonblocking while the pool runs *)
+  out_q : string Queue.t;  (** job frames not yet started *)
+  mutable out : string;  (** frame currently being written *)
+  mutable out_pos : int;
+  reports : Stats.job_report Queue.t;  (** decoded, unemitted *)
+  mutable eof : bool;  (** the worker closed its reply pipe *)
 }
 
-(* Worker-to-parent protocol of the streaming pool: each report ships
-   as its own frame the moment the job finishes, so the parent can
-   emit in feed order while the stream is still being produced. A
-   frame is a 4-byte big-endian length followed by the marshalled
-   message. *)
-type stream_msg =
-  | S_report of Stats.job_report
-  | S_done of Timing.samples * Cert_store.stats * bool (* degraded? *)
-  | S_crashed of string
-  | S_error of string
+type failure = Crash of string | Died of int
 
-exception Stream_stop
-
-let frame (msg : stream_msg) =
-  let b = Marshal.to_bytes msg [] in
-  let n = Bytes.length b in
-  let out = Bytes.create (4 + n) in
-  Bytes.set out 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set out 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set out 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set out 3 (Char.chr (n land 0xff));
-  Bytes.blit b 0 out 4 n;
-  out
-
-(* A streaming worker reads manifest lines (one job each) until EOF,
-   answers every job with an [S_report] frame immediately, and signs
-   off with [S_done] carrying its timing samples and store counters. *)
-let stream_worker_main ~make_engine ~timed rfd wfd =
-  let send msg = write_all wfd (frame msg) in
-  (try
-     let wt = if timed then Some (Timing.create ()) else None in
-     let engine = make_engine wt in
-     let ic = Unix.in_channel_of_descr rfd in
-     try
-       let rec loop () =
-         match input_line ic with
-         | exception End_of_file -> ()
-         | line -> (
-             match Manifest.parse line with
-             | Ok [ job ] ->
-                 send (S_report (Engine.run_job engine job));
-                 loop ()
-             | Ok _ | Error _ ->
-                 failwith ("stream worker: unparseable job line: " ^ line))
-       in
-       loop ();
-       Engine.flush engine;
-       Engine.snapshot_counters engine;
-       let store = Engine.store engine in
-       send
-         (S_done
-            ( (match wt with
-              | Some t -> Timing.samples t
-              | None -> Timing.samples (Timing.create ())),
-              Cert_store.stats store,
-              Cert_store.degraded store ))
-     with
-     | Blob_io.Crashed p -> send (S_crashed p)
-     | e -> send (S_error (Printexc.to_string e))
-   with _ -> ());
-  try Unix.close wfd with Unix.Unix_error _ -> ()
-
-(* Parent-side view of one streaming worker. *)
-type wstream = {
-  ws_pid : int;
-  ws_rfd : Unix.file_descr;  (** results in *)
-  ws_wfd : Unix.file_descr;  (** job lines out; nonblocking *)
-  ws_out_q : string Queue.t;  (** job lines not yet started *)
-  mutable ws_out : string;  (** line currently being written *)
-  mutable ws_out_pos : int;
-  ws_in : Buffer.t;  (** unparsed inbound bytes *)
-  ws_reports : Stats.job_report Queue.t;  (** decoded, unemitted *)
-  mutable ws_open : bool;  (** our write end still open *)
-  mutable ws_done : bool;  (** S_done/S_crashed/S_error seen *)
-  mutable ws_eof : bool;  (** read side drained *)
+type forked = {
+  slots : slot array;
+  timing : Timing.t option;
+  probe : Engine.t option;  (** adds its store counters to {!stop}'s *)
+  mutable failure : failure option;
+  prev_int : Sys.signal_behavior;
+  prev_pipe : Sys.signal_behavior;
 }
 
-let ws_pending w =
-  w.ws_out_pos < String.length w.ws_out || not (Queue.is_empty w.ws_out_q)
+type t = Inline of Engine.t | Forked of forked
 
-(** Run a stream of jobs across [workers] processes in constant
-    memory: [produce feed] calls [feed job] once per job, in workload
-    order; [emit] fires in the parent once per report {e in feed
-    order} — never a whole-corpus list, never a sort. (The batch
-    driver's canonical order is job-id order, so a feed sorted by id —
-    e.g. a generated workload with zero-padded sequential ids — makes
-    the streamed JSONL byte-identical to the batch driver's at any
-    worker count.)
+(** Start a pool of [workers] (at most {!Worker.max_workers}, else
+    [Invalid_argument], before any fork).
 
-    Sharding, engine construction, crash semantics, and SIGINT
-    handling match {!run}: same FNV-1a shard function, one engine per
-    forked worker, [Blob_io.Crashed] re-raised after every worker is
-    reaped. At most [window] jobs are in flight (fed but not yet
-    emitted); the producer blocks when the window is full, so parent
-    memory is bounded by [window] reports regardless of corpus size. *)
-let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
-    ?window ~workers ~make_engine produce =
-  let workers = max 1 workers in
-  let window =
-    match window with Some w when w > 0 -> w | _ -> max 64 (8 * workers)
-  in
-  if workers = 1 then begin
-    (* in-process: emit as we go, fold the summary incrementally *)
-    let engine = make_engine timing in
-    let summary = ref Stats.summary_zero in
-    produce (fun job ->
-        let r = Engine.run_job engine job in
-        emit r;
-        summary := Stats.summary_add !summary r);
-    Engine.flush engine;
-    Engine.snapshot_counters engine;
-    let store = Engine.store engine in
-    {
-      stream_summary = !summary;
-      stream_store = Cert_store.stats store;
-      stream_degraded = Cert_store.degraded store;
-    }
-  end
+    At [workers = 1] jobs run in-process on [engine] — or, without one,
+    on [make_engine ~worker:0 timing]. At [workers > 1] each worker
+    calls [make_engine ~worker:idx] after the fork with its own timing
+    sink (when [timing] is given, the samples it ships are absorbed
+    into [timing]); [engine], if given, is only the caller's probe and
+    contributes its store counters to {!stop}'s totals.
+
+    Until {!stop}, SIGINT is owned by the pool: the handler kills and
+    reaps every worker (no orphans holding the shared cache
+    directory), runs [on_interrupt] (the driver passes a tmp-file
+    sweep of that directory here), and exits 130. SIGPIPE is ignored,
+    so a dead worker surfaces as EPIPE instead of killing the parent. *)
+let start ?timing ?on_interrupt ?engine ~workers ~make_engine () =
+  (match Worker.check_count workers with
+  | Ok _ -> ()
+  | Error e -> invalid_arg ("Pool.start: workers " ^ e));
+  if workers = 1 then
+    Inline
+      (match engine with Some e -> e | None -> make_engine ~worker:0 timing)
   else begin
-    flush stdout;
-    flush stderr;
-    (* two pipes per worker; children close every parent-side fd
-       created for earlier siblings, or EOF on a sibling's job pipe
-       would never arrive *)
-    let parent_fds = ref [] in
-    let ws =
-      Array.init workers (fun _ ->
-          let jr, jw = Unix.pipe ~cloexec:false () in
-          let rr, rw = Unix.pipe ~cloexec:false () in
-          match Unix.fork () with
-          | 0 ->
-              Unix.close jw;
-              Unix.close rr;
-              List.iter
-                (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-                !parent_fds;
-              stream_worker_main ~make_engine ~timed:(timing <> None) jr rw;
-              Unix._exit 0
-          | pid ->
-              Unix.close jr;
-              Unix.close rw;
-              Unix.set_nonblock jw;
-              parent_fds := jw :: rr :: !parent_fds;
-              {
-                ws_pid = pid;
-                ws_rfd = rr;
-                ws_wfd = jw;
-                ws_out_q = Queue.create ();
-                ws_out = "";
-                ws_out_pos = 0;
-                ws_in = Buffer.create 4096;
-                ws_reports = Queue.create ();
-                ws_open = true;
-                ws_done = false;
-                ws_eof = false;
-              })
-    in
-    let kill_all () =
-      Array.iter
-        (fun w ->
-          try Unix.kill w.ws_pid Sys.sigkill with Unix.Unix_error _ -> ())
-        ws;
-      Array.iter
-        (fun w ->
-          try ignore (Unix.waitpid [] w.ws_pid) with Unix.Unix_error _ -> ())
-        ws
+    let timed = timing <> None in
+    let spawned = ref [] in
+    let slots =
+      Array.init workers (fun idx ->
+          let shed =
+            List.concat_map (fun (w : Worker.t) -> [ w.to_w; w.from_w ]) !spawned
+          in
+          let w = Worker.spawn ~shed ~make_engine ~timed idx in
+          spawned := w :: !spawned;
+          Unix.set_nonblock w.Worker.to_w;
+          {
+            w;
+            out_q = Queue.create ();
+            out = "";
+            out_pos = 0;
+            reports = Queue.create ();
+            eof = false;
+          })
     in
     let prev_int =
       Sys.signal Sys.sigint
         (Sys.Signal_handle
            (fun _ ->
-             kill_all ();
+             Array.iter (fun s -> Worker.kill s.w) slots;
              (match on_interrupt with
              | Some f -> ( try f () with _ -> ())
              | None -> ());
              exit 130))
     in
-    (* a worker can die while we hold pending lines for it; the write
-       must surface as EPIPE, not kill the parent *)
     let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.set_signal Sys.sigint prev_int;
-        Sys.set_signal Sys.sigpipe prev_pipe)
-    @@ fun () ->
-    let summary = ref Stats.summary_zero in
-    let store_stats = ref (empty_stats ()) in
-    let degraded = ref false in
-    let crashed = ref None in
-    let errored = ref None in
-    let feed_order = Queue.create () in
-    let in_flight = ref 0 in
-    (* feed-order emission: reports come back per-worker FIFO, so the
-       head of [feed_order] is emittable exactly when its worker's
-       report queue is nonempty *)
-    let try_emit () =
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        match Queue.peek_opt feed_order with
-        | None -> ()
-        | Some i -> (
-            match Queue.take_opt ws.(i).ws_reports with
-            | None -> ()
-            | Some r ->
-                ignore (Queue.pop feed_order);
-                emit r;
-                summary := Stats.summary_add !summary r;
-                decr in_flight;
-                progress := true)
-      done
-    in
-    let mark_done i =
-      if not ws.(i).ws_done then begin
-        ws.(i).ws_done <- true;
-        if !crashed = None && !errored = None then
-          errored := Some "stream worker died before reporting"
-      end
-    in
-    let handle i (msg : stream_msg) =
-      match msg with
-      | S_report r -> Queue.push r ws.(i).ws_reports
-      | S_done (samples, stats, deg) ->
-          ws.(i).ws_done <- true;
-          (match timing with Some t -> Timing.absorb t samples | None -> ());
-          store_stats := Cert_store.add_stats !store_stats stats;
-          degraded := !degraded || deg
-      | S_crashed p ->
-          ws.(i).ws_done <- true;
-          if !crashed = None then crashed := Some p
-      | S_error e ->
-          ws.(i).ws_done <- true;
-          if !errored = None then errored := Some e
-    in
-    let parse_frames i =
-      let w = ws.(i) in
-      let s = Buffer.contents w.ws_in in
-      let len = String.length s in
-      let pos = ref 0 in
-      let continue = ref true in
-      while !continue do
-        if len - !pos < 4 then continue := false
-        else begin
-          let flen =
-            (Char.code s.[!pos] lsl 24)
-            lor (Char.code s.[!pos + 1] lsl 16)
-            lor (Char.code s.[!pos + 2] lsl 8)
-            lor Char.code s.[!pos + 3]
-          in
-          if len - !pos - 4 < flen then continue := false
-          else begin
-            handle i (Marshal.from_string s (!pos + 4) : stream_msg);
-            pos := !pos + 4 + flen
-          end
-        end
-      done;
-      if !pos > 0 then begin
-        let rest = String.sub s !pos (len - !pos) in
-        Buffer.clear w.ws_in;
-        Buffer.add_string w.ws_in rest
-      end
-    in
-    let chunk = Bytes.create 65536 in
-    let pump_read i =
-      let w = ws.(i) in
-      match Unix.read w.ws_rfd chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | 0 ->
-          w.ws_eof <- true;
-          (try Unix.close w.ws_rfd with Unix.Unix_error _ -> ());
-          mark_done i
-      | n ->
-          Buffer.add_subbytes w.ws_in chunk 0 n;
-          parse_frames i
-    in
-    let pump_write i =
-      let w = ws.(i) in
-      try
-        let more = ref true in
-        while !more do
-          if w.ws_out_pos >= String.length w.ws_out then
-            match Queue.take_opt w.ws_out_q with
-            | Some s ->
-                w.ws_out <- s;
-                w.ws_out_pos <- 0
-            | None -> more := false
-          else
-            let n =
-              Unix.write_substring w.ws_wfd w.ws_out w.ws_out_pos
-                (String.length w.ws_out - w.ws_out_pos)
-            in
-            w.ws_out_pos <- w.ws_out_pos + n
-        done
-      with
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | Unix.Unix_error (Unix.EPIPE, _, _) ->
-          (* dead worker: drop its backlog; the read side reports it *)
-          Queue.clear w.ws_out_q;
-          w.ws_out <- "";
-          w.ws_out_pos <- 0
-    in
-    let pump block =
-      let rfds = ref [] and wfds = ref [] in
-      Array.iter
-        (fun w ->
-          if not w.ws_eof then rfds := w.ws_rfd :: !rfds;
-          if w.ws_open && ws_pending w then wfds := w.ws_wfd :: !wfds)
-        ws;
-      (if !rfds <> [] || !wfds <> [] then
-         let timeout = if block then -1.0 else 0.0 in
-         match Unix.select !rfds !wfds [] timeout with
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         | r, wr, _ ->
-             Array.iteri (fun i w -> if List.memq w.ws_wfd wr then pump_write i) ws;
-             Array.iteri (fun i w -> if List.memq w.ws_rfd r then pump_read i) ws);
-      try_emit ()
-    in
-    let live_input () =
-      Array.exists (fun w -> not w.ws_eof) ws
-      || Array.exists (fun w -> not (Queue.is_empty w.ws_reports)) ws
-    in
-    let feed (job : Manifest.job) =
-      if !crashed <> None || !errored <> None then raise Stream_stop;
-      let id = job.Manifest.job_id in
-      String.iter
-        (fun c ->
-          if c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '#' then
-            invalid_arg
-              (Printf.sprintf
-                 "Pool.run_stream: job id %S cannot cross a stream pipe" id))
-        id;
-      let i = shard_of ~workers id in
-      Queue.push (Manifest.print_job job ^ "\n") ws.(i).ws_out_q;
-      Queue.push i feed_order;
-      incr in_flight;
-      pump false;
-      while
-        !in_flight >= window
-        && !crashed = None
-        && !errored = None
-        && live_input ()
-      do
-        pump true
-      done
-    in
-    (try produce feed with Stream_stop -> ());
-    (* drain the backlog, then EOF every job pipe so workers finish *)
-    while
-      Array.exists (fun w -> w.ws_open && ws_pending w) ws
-      && !crashed = None
-      && !errored = None
-    do
-      pump true
-    done;
-    Array.iter
-      (fun w ->
-        if w.ws_open then begin
-          w.ws_open <- false;
-          try Unix.close w.ws_wfd with Unix.Unix_error _ -> ()
-        end)
-      ws;
-    while Array.exists (fun w -> not w.ws_eof) ws do
-      pump true
-    done;
-    try_emit ();
-    Array.iter
-      (fun w ->
-        try ignore (Unix.waitpid [] w.ws_pid) with Unix.Unix_error _ -> ())
-      ws;
-    (match !crashed with
-    | Some p -> raise (Blob_io.Crashed p)
-    | None -> ());
-    (match !errored with
-    | Some e -> failwith (Printf.sprintf "Pool.run_stream: worker failed: %s" e)
-    | None -> ());
-    if !in_flight <> 0 then
-      failwith "Pool.run_stream: workers exited with reports outstanding";
-    {
-      stream_summary = !summary;
-      stream_store = !store_stats;
-      stream_degraded = !degraded;
-    }
+    Forked
+      {
+        slots;
+        timing;
+        probe = engine;
+        failure = None;
+        prev_int;
+        prev_pipe;
+      }
   end
+
+let restore_signals p =
+  Sys.set_signal Sys.sigint p.prev_int;
+  Sys.set_signal Sys.sigpipe p.prev_pipe
+
+let fail p f = if p.failure = None then p.failure <- Some f
+
+let failure_exn = function
+  | Crash path -> Blob_io.Crashed path
+  | Died i -> Failure (Printf.sprintf "Pool: worker %d died before reporting" i)
+
+(* after a failure: close every job pipe — each worker finishes the
+   frames it already holds, commits, and exits — then drain the
+   replies to EOF so no worker blocks on a full pipe, and reap *)
+let teardown p =
+  Array.iter (fun s -> Worker.close_quietly s.w.Worker.to_w) p.slots;
+  Array.iter
+    (fun s ->
+      while Worker.fill s.w do
+        while Worker.next s.w <> None do
+          ()
+        done
+      done;
+      Worker.close_quietly s.w.Worker.from_w;
+      Worker.reap s.w.Worker.pid)
+    p.slots;
+  restore_signals p
+
+exception Stop
+
+let pending s = s.out_pos < String.length s.out || not (Queue.is_empty s.out_q)
+
+let pump_write s =
+  try
+    let more = ref true in
+    while !more do
+      if s.out_pos >= String.length s.out then
+        match Queue.take_opt s.out_q with
+        | Some f ->
+            s.out <- f;
+            s.out_pos <- 0
+        | None -> more := false
+      else
+        s.out_pos <-
+          s.out_pos
+          + Unix.write_substring s.w.Worker.to_w s.out s.out_pos
+              (String.length s.out - s.out_pos)
+    done
+  with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | Unix.Unix_error (Unix.EPIPE, _, _) ->
+      (* dead worker: drop its backlog; the read side reports it *)
+      Queue.clear s.out_q;
+      s.out <- "";
+      s.out_pos <- 0
+
+let run_forked p emit produce =
+  let slots = p.slots in
+  let workers = Array.length slots in
+  let window = max 64 (8 * workers) in
+  let summary = ref Stats.summary_zero in
+  let feed_order = Queue.create () in
+  let in_flight = ref 0 in
+  (* feed-order emission: replies come back per-worker FIFO, so the
+     head of [feed_order] is emittable exactly when its worker's
+     report queue is nonempty *)
+  let rec try_emit () =
+    match Queue.peek_opt feed_order with
+    | None -> ()
+    | Some i -> (
+        match Queue.take_opt slots.(i).reports with
+        | None -> ()
+        | Some r ->
+            ignore (Queue.pop feed_order);
+            emit r;
+            summary := Stats.summary_add !summary r;
+            decr in_flight;
+            try_emit ())
+  in
+  let pump_read i =
+    let s = slots.(i) in
+    let alive = Worker.fill s.w in
+    let rec drain () =
+      match Worker.next s.w with
+      | None -> ()
+      | Some msg ->
+          (match msg with
+          | Worker.Done { report; samples; _ } ->
+              Option.iter (fun t -> Timing.absorb t samples) p.timing;
+              Queue.push report s.reports
+          | Worker.Crashed path -> fail p (Crash path)
+          | Worker.Ready | Worker.Bye _ -> ());
+          drain ()
+    in
+    drain ();
+    if not alive then begin
+      s.eof <- true;
+      fail p (Died i)
+    end
+  in
+  let pump block =
+    let rfds = ref [] and wfds = ref [] in
+    Array.iter
+      (fun s ->
+        if not s.eof then rfds := s.w.Worker.from_w :: !rfds;
+        if pending s then wfds := s.w.Worker.to_w :: !wfds)
+      slots;
+    (match Unix.select !rfds !wfds [] (if block then -1.0 else 0.0) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | r, wr, _ ->
+        Array.iter (fun s -> if List.memq s.w.Worker.to_w wr then pump_write s) slots;
+        Array.iteri
+          (fun i s -> if List.memq s.w.Worker.from_w r then pump_read i)
+          slots);
+    try_emit ()
+  in
+  let feed (job : Manifest.job) =
+    if p.failure <> None then raise Stop;
+    let i = shard_of ~workers job.Manifest.job_id in
+    (* replies come back in order per worker: no token needed *)
+    Queue.push
+      (Worker.frame (Worker.Job { token = 0; job; deadline_ms = 0.0 }))
+      slots.(i).out_q;
+    Queue.push i feed_order;
+    incr in_flight;
+    pump false;
+    while !in_flight >= window && p.failure = None do
+      pump true
+    done
+  in
+  (match produce feed with
+  | () -> ()
+  | exception Stop -> ()
+  | exception e ->
+      (* a producer error (say, a manifest line that does not parse)
+         ends the pool like a crash does *)
+      teardown p;
+      raise e);
+  while !in_flight > 0 && p.failure = None do
+    pump true
+  done;
+  match p.failure with
+  | Some f ->
+      teardown p;
+      raise (failure_exn f)
+  | None -> !summary
+
+(** One pass: [produce feed] calls [feed job] once per job; [emit]
+    fires once per report, in feed order. Returns the pass's summary.
+    Raises [Blob_io.Crashed] if a worker simulated a crash, and
+    [Failure] if one died without a word — after reaping every worker;
+    the pool is then gone. *)
+let run ?(emit = fun (_ : Stats.job_report) -> ()) t produce =
+  match t with
+  | Inline engine ->
+      let summary = ref Stats.summary_zero in
+      produce (fun job ->
+          let r = Engine.run_job engine job in
+          emit r;
+          summary := Stats.summary_add !summary r);
+      !summary
+  | Forked p -> run_forked p emit produce
+
+(** Group-commit every store, dismiss the workers, and return the
+    store counters summed over every engine (the in-process one, or
+    the workers' plus the probe's) and whether any worker's store
+    demoted to memory-only. Raises like {!run} when a worker crashed
+    in its final commit. *)
+let stop t =
+  match t with
+  | Inline engine ->
+      Engine.flush engine;
+      Engine.snapshot_counters engine;
+      let store = Engine.store engine in
+      (Cert_store.stats store, Cert_store.degraded store)
+  | Forked p ->
+      Array.iter
+        (fun s ->
+          try Unix.clear_nonblock s.w.Worker.to_w with Unix.Unix_error _ -> ())
+        p.slots;
+      let last = Worker.quit_all (List.map (fun s -> s.w) (Array.to_list p.slots)) in
+      restore_signals p;
+      let stats =
+        ref
+          (match p.probe with
+          | Some e -> Cert_store.stats (Engine.store e)
+          | None -> Cert_store.zero_stats ())
+      in
+      let degraded = ref false in
+      List.iteri
+        (fun i -> function
+          | Some (Worker.Bye { samples; store_stats; degraded = d }) ->
+              Option.iter (fun t -> Timing.absorb t samples) p.timing;
+              stats := Cert_store.add_stats !stats store_stats;
+              degraded := !degraded || d
+          | Some (Worker.Crashed path) -> fail p (Crash path)
+          | Some (Worker.Ready | Worker.Done _) | None -> fail p (Died i))
+        last;
+      Option.iter (fun f -> raise (failure_exn f)) p.failure;
+      (!stats, !degraded)
+
+(** Feed [jobs] stably sorted by job id: the batch order, whose reports
+    come out in canonical order. *)
+let in_id_order jobs feed =
+  List.iter feed
+    (List.stable_sort
+       (fun (a : Manifest.job) (b : Manifest.job) ->
+         compare a.Manifest.job_id b.Manifest.job_id)
+       jobs)
+
+type outcome = {
+  summary : Stats.summary;
+  store_stats : Cert_store.stats;  (** summed over every engine's store *)
+  degraded : bool;
+}
+
+(** A one-pass pool: {!start}, one {!run}, {!stop}. *)
+let run_once ?emit ?timing ~workers ~make_engine produce =
+  let t = start ?timing ~workers ~make_engine () in
+  let summary = run ?emit t produce in
+  let store_stats, degraded = stop t in
+  { summary; store_stats; degraded }

@@ -54,6 +54,28 @@ type job_report = {
           transient faults before this terminal status *)
 }
 
+(** A report of no work done: [status] for job [id], every size and
+    timing zero unless given — the base every terminal report of the
+    engine and the drivers is built on. *)
+let bare_report ?(n = 0) ?(m = 0) ?(total_ms = 0.0) ?(retries = 0) ~id
+    ~property ~k status =
+  {
+    r_id = id;
+    r_property = property;
+    r_k = k;
+    r_n = n;
+    r_m = m;
+    r_status = status;
+    r_cache_hit = false;
+    r_prove_ms = 0.0;
+    r_verify_ms = 0.0;
+    r_total_ms = total_ms;
+    r_label_bits = 0;
+    r_bundle_bits = 0;
+    r_reject_reasons = [];
+    r_retries = retries;
+  }
+
 (* ---------------------------------------------------------------- *)
 (* JSON lines                                                        *)
 
@@ -192,6 +214,9 @@ type summary = {
   s_hit_rate : float;  (** cache hits / served jobs *)
   s_max_label_bits : int;
   s_cache_rejects : int;
+      (** jobs whose cached bundle failed re-verification (a job counts
+          once however many reasons it carries), so store hits =
+          cached serves + rejects *)
   s_retries : int;  (** total retry attempts across all jobs *)
 }
 
@@ -262,7 +287,8 @@ let summary_add s r =
     s_hit_rate =
       (if served > 0 then float_of_int hits /. float_of_int served else 0.0);
     s_max_label_bits = max s.s_max_label_bits r.r_label_bits;
-    s_cache_rejects = s.s_cache_rejects + List.length r.r_reject_reasons;
+    s_cache_rejects =
+      (s.s_cache_rejects + if r.r_reject_reasons = [] then 0 else 1);
     s_retries = s.s_retries + r.r_retries;
   }
 

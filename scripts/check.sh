@@ -39,6 +39,29 @@ if ! cmp -s "$tmp/j1" "$tmp/j2"; then
   exit 1
 fi
 
+# long-lived pool workers: with no --cache-dir, pass 2 at --jobs 2 must
+# be served entirely from the workers' warm memory tiers
+./_build/default/bin/certd.exe --manifest examples/service/jobs.manifest \
+  --jobs 2 --passes 2 --quiet > "$tmp/passes.out"
+if ! grep '^cache:' "$tmp/passes.out" | sed -n 2p | grep -q 'hit rate 100.0%'; then
+  echo "check.sh: certd --jobs 2 --passes 2 did not serve pass 2 from cache" >&2
+  cat "$tmp/passes.out" >&2
+  exit 1
+fi
+
+# one driver at every worker count: a generated workload must produce
+# byte-identical canonical JSONL in-process (--jobs 1) and forked (--jobs 2)
+spec='zipf:u=40,t=300,mix=light,corrupt=0'
+./_build/default/bin/certd.exe --workload "$spec" --jobs 1 \
+  --jsonl "$tmp/w1.jsonl" --canonical --quiet > /dev/null
+./_build/default/bin/certd.exe --workload "$spec" --jobs 2 \
+  --jsonl "$tmp/w2.jsonl" --canonical --quiet > /dev/null
+if ! cmp -s "$tmp/w1.jsonl" "$tmp/w2.jsonl"; then
+  echo "check.sh: certd --workload --jobs 1 and --jobs 2 disagree on the JSONL" >&2
+  diff "$tmp/w1.jsonl" "$tmp/w2.jsonl" >&2 || true
+  exit 1
+fi
+
 # daemon smoke test: a certd-server on a tmp socket must serve 3 jobs
 # submitted via `certd --connect`, the canonical JSONL must be
 # byte-identical to batch mode, and SIGTERM must drain cleanly (exit 0,

@@ -105,7 +105,7 @@ let corpus () =
 
 (* every worker builds its own engine (and fault-plan counters) from
    this, exactly as certd does *)
-let make_engine ?plan ~dir () timing =
+let make_engine ?plan ~dir () ~worker:_ timing =
   let io =
     Option.map (fun p -> fst (Blob_io.inject ~plan:p Blob_io.real)) plan
   in
@@ -113,6 +113,20 @@ let make_engine ?plan ~dir () timing =
 
 let snapshot dir =
   Store.disk_snapshot (Store.create ~dir ())
+
+(* one batch pass through a fresh pool, as certd runs it: the manifest
+   in job-id order; returns the reports in emit order *)
+let run_batch ?(emit = fun (_ : Stats.job_report) -> ()) ~workers ~make_engine
+    jobs =
+  let reports = ref [] in
+  let out =
+    Pool.run_once
+      ~emit:(fun r ->
+        reports := r :: !reports;
+        emit r)
+      ~workers ~make_engine (Pool.in_id_order jobs)
+  in
+  (List.rev !reports, out)
 
 let plan_of_string s =
   match Blob_io.parse_plan s with
@@ -152,12 +166,14 @@ let pool1_matches_sequential () =
   with_dir "seq" @@ fun d_seq ->
   with_dir "one" @@ fun d_one ->
   let jobs = corpus () in
-  let engine = make_engine ~dir:d_seq () None in
+  let engine = make_engine ~dir:d_seq () ~worker:0 None in
   let seq_reports, seq_summary = Engine.run_jobs engine jobs in
-  let out = Pool.run ~workers:1 ~make_engine:(make_engine ~dir:d_one ()) jobs in
+  let reports, out =
+    run_batch ~workers:1 ~make_engine:(make_engine ~dir:d_one ()) jobs
+  in
   check_str "canonical stats"
     (Stats.canonical_lines seq_reports)
-    (Stats.canonical_lines out.Pool.reports);
+    (Stats.canonical_lines reports);
   (* count fields only: the timing fields are volatile by design *)
   check_int "summary: served" seq_summary.Stats.s_served
     out.Pool.summary.Stats.s_served;
@@ -177,8 +193,8 @@ let jobs1_vs_jobs4 () =
     let dir = fresh_dir (Printf.sprintf "w%d" n) in
     let emitted = ref [] in
     let emit (r : Stats.job_report) = emitted := r.Stats.r_id :: !emitted in
-    let out =
-      Pool.run ~emit ~workers:n ~make_engine:(make_engine ~dir ()) jobs
+    let reports, _ =
+      run_batch ~emit ~workers:n ~make_engine:(make_engine ~dir ()) jobs
     in
     (* emit fires in canonical order, exactly once per job *)
     let ids = List.rev !emitted in
@@ -189,7 +205,7 @@ let jobs1_vs_jobs4 () =
       (Printf.sprintf "workers=%d: emits are job-id sorted" n)
       true
       (ids = List.sort compare ids);
-    (Stats.canonical_lines out.Pool.reports, snapshot dir, dir)
+    (Stats.canonical_lines reports, snapshot dir, dir)
   in
   let base_lines, base_snap, base_dir = run_at 1 in
   check "baseline stored something" true (base_snap <> []);
@@ -217,14 +233,14 @@ let jobs1_vs_jobs4_under_faults () =
   let plan = plan_of_string "flip@2:40,flip@4:3,fail@6:ENOSPC" in
   let run_at n =
     let dir = fresh_dir (Printf.sprintf "f%d" n) in
-    let faulted =
-      Pool.run ~workers:n ~make_engine:(make_engine ~plan ~dir ()) jobs
+    let faulted, _ =
+      run_batch ~workers:n ~make_engine:(make_engine ~plan ~dir ()) jobs
     in
-    let repaired =
-      Pool.run ~workers:n ~make_engine:(make_engine ~dir ()) jobs
+    let repaired, _ =
+      run_batch ~workers:n ~make_engine:(make_engine ~dir ()) jobs
     in
-    ( Stats.canonical_lines faulted.Pool.reports,
-      Stats.canonical_lines repaired.Pool.reports,
+    ( Stats.canonical_lines faulted,
+      Stats.canonical_lines repaired,
       snapshot dir,
       dir )
   in
@@ -247,7 +263,8 @@ let jobs1_vs_jobs4_under_faults () =
   rm_rf d1
 
 (* a simulated crash in any worker must surface as Blob_io.Crashed in
-   the parent — never as a silent partial batch *)
+   the parent — never as a silent partial batch. In-process at N=1; at
+   N>1 it crosses the pipe as the worker's Crashed frame *)
 let crash_propagates () =
   let jobs = corpus () in
   let plan = plan_of_string "crash@3" in
@@ -257,12 +274,55 @@ let crash_propagates () =
       let crashed =
         try
           ignore
-            (Pool.run ~workers:n ~make_engine:(make_engine ~plan ~dir ()) jobs);
+            (run_batch ~workers:n ~make_engine:(make_engine ~plan ~dir ()) jobs);
           false
         with Blob_io.Crashed _ -> true
       in
       check (Printf.sprintf "workers=%d: Crashed re-raised" n) true crashed)
-    [ 1; 4 ]
+    [ 1; 2; 4 ]
+
+(* workers live for the whole pool, not one pass: the second pass over
+   the same jobs is served entirely from their memory tiers, with no
+   disk tier to fall back on *)
+let passes_warm_without_disk () =
+  let jobs = corpus () in
+  let pool =
+    Pool.start ~workers:2
+      ~make_engine:(fun ~worker:_ timing -> Engine.create ?timing ())
+      ()
+  in
+  let cold = Pool.run pool (Pool.in_id_order jobs) in
+  let warm = Pool.run pool (Pool.in_id_order jobs) in
+  ignore (Pool.stop pool : Store.stats * bool);
+  check "pass 1 proved something" true (cold.Stats.s_fresh > 0);
+  check_int "pass 2: nothing fresh" 0 warm.Stats.s_fresh;
+  check_int "pass 2: every served job cached" warm.Stats.s_served
+    warm.Stats.s_cached;
+  check_int "pass 2 serves what pass 1 served" cold.Stats.s_served
+    warm.Stats.s_served
+
+(* the worker cap is checked before any fork; only counts that start
+   no process are tried here *)
+let worker_cap () =
+  let module Worker = Service.Worker in
+  check "1 worker is fine" true (Worker.check_count 1 = Ok 1);
+  check "the cap itself is fine" true
+    (Worker.check_count Worker.max_workers = Ok Worker.max_workers);
+  check "0 workers refused" true (Result.is_error (Worker.check_count 0));
+  check "one past the cap refused" true
+    (Result.is_error (Worker.check_count (Worker.max_workers + 1)));
+  check "the default respects the cap" true
+    (Pool.default_workers () <= Worker.max_workers);
+  check "the daemon keeps room for clients at the cap" true
+    (Worker.fd_budget - (2 * Worker.max_workers) > 0);
+  check "Pool.start refuses before forking" true
+    (match
+       Pool.start ~workers:0
+         ~make_engine:(fun ~worker:_ timing -> Engine.create ?timing ())
+         ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* the interrupt-path sweep must only touch spool files it owns (this
    pid) or whose owner is dead — a live daemon sharing the cache dir
@@ -301,6 +361,9 @@ let () =
           test "fault plan armed per worker: verdicts and repaired store match"
             jobs1_vs_jobs4_under_faults;
           test "crash in a worker kills the batch" crash_propagates;
+          test "workers=2: pass 2 warm without a disk tier"
+            passes_warm_without_disk;
+          test "worker count is capped before any fork" worker_cap;
           test "interrupt sweep is pid-aware" sweep_is_pid_aware;
         ] );
     ]

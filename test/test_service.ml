@@ -447,6 +447,42 @@ let engine_rejects_unknowns () =
        (job (Manifest.File "does-not-exist.g6") "connected")
        "does-not-exist.g6")
 
+(* the summary's re-verification reject count is a job count, so that
+   store hits = cached serves + rejects reconciles: a job whose cached
+   bundle failed on two reasons is one reject, not two *)
+let summary_counts_rejected_jobs () =
+  let report id reasons =
+    {
+      Stats.r_id = id;
+      r_property = "connected";
+      r_k = 2;
+      r_n = 4;
+      r_m = 3;
+      r_status = Stats.Served_fresh;
+      r_cache_hit = false;
+      r_prove_ms = 0.0;
+      r_verify_ms = 0.0;
+      r_total_ms = 0.0;
+      r_label_bits = 8;
+      r_bundle_bits = 64;
+      r_reject_reasons = reasons;
+      r_retries = 0;
+    }
+  in
+  let s =
+    Stats.summarize
+      [
+        report "a" [ "edge_label"; "node_state" ];
+        report "b" [ "edge_label" ];
+        report "c" [];
+      ]
+  in
+  check_int "two rejected jobs, three reasons" 2 s.Stats.s_cache_rejects;
+  check "the footer prints the job count" true
+    (contains
+       (Format.asprintf "%a" Stats.pp_summary s)
+       "2 re-verification rejects")
+
 let suite =
   ( "service",
     [
@@ -470,6 +506,7 @@ let suite =
       test "engine cold/warm" engine_cold_warm;
       test "engine surfaces memo/alloc counters" engine_counters;
       test "engine rejects unknowns" engine_rejects_unknowns;
+      test "summary counts rejected jobs once" summary_counts_rejected_jobs;
     ] )
 
 let () = Alcotest.run "lcp-service" [ suite ]

@@ -346,11 +346,11 @@ let counters_pool_sharded () =
            would let a late-starting worker seed its filter from the
            sibling's flushed records, turning first-touch skips into
            scheduling-dependent disk hits *)
-        Pool.run ~workers
-          ~make_engine:(fun wt ->
+        Pool.run_once ~workers
+          ~make_engine:(fun ~worker:_ wt ->
             let wd = Filename.concat d (string_of_int (Unix.getpid ())) in
             Engine.create ~cache_dir:wd ?timing:wt ())
-          jobs
+          (Pool.in_id_order jobs)
       in
       (* per-worker filters are process-private and start empty,
          memory caps are large: each worker skips exactly one probe
@@ -430,21 +430,24 @@ let stream_matches_batch () =
         | Error e -> Alcotest.fail e
       in
       let cache tag = Filename.concat d ("c" ^ tag) in
-      let batch =
-        Pool.run ~workers:1
-          ~make_engine:(fun wt ->
-            Engine.create ~cache_dir:(cache "b") ?timing:wt ())
-          jobs
-      in
-      let batch_lines = Stats.canonical_lines batch.Pool.reports in
+      let batch = ref [] in
+      ignore
+        (Pool.run_once
+           ~emit:(fun r -> batch := r :: !batch)
+           ~workers:1
+           ~make_engine:(fun ~worker:_ wt ->
+             Engine.create ~cache_dir:(cache "b") ?timing:wt ())
+           (Pool.in_id_order jobs)
+          : Pool.outcome);
+      let batch_lines = Stats.canonical_lines !batch in
       List.iter
         (fun workers ->
           let lines = ref [] in
           let outcome =
-            Pool.run_stream
+            Pool.run_once
               ~emit:(fun r -> lines := Stats.to_canonical_json r :: !lines)
               ~workers
-              ~make_engine:(fun wt ->
+              ~make_engine:(fun ~worker:_ wt ->
                 Engine.create
                   ~cache_dir:(cache (string_of_int workers))
                   ?timing:wt ())
@@ -452,7 +455,7 @@ let stream_matches_batch () =
           in
           check_int
             (Printf.sprintf "N=%d: all jobs" workers)
-            150 outcome.Pool.stream_summary.Stats.s_jobs;
+            150 outcome.Pool.summary.Stats.s_jobs;
           check_str
             (Printf.sprintf "N=%d: canonical output = batch" workers)
             batch_lines
