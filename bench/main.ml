@@ -480,6 +480,20 @@ let build_corpus ~tag ~size () =
   | Ok jobs -> (dir, jobs)
   | Error e -> failwith e
 
+(* one in-process pass of [jobs] over [engine] in id order, as certd
+   runs a manifest at --jobs 1: the reports and the summary *)
+let local_pass engine jobs =
+  let module Svc = Lcp_service in
+  let reports = ref [] in
+  let out =
+    Svc.Pool.run_once
+      ~emit:(fun r -> reports := r :: !reports)
+      ~timing:(Svc.Timing.create ()) ~workers:1
+      ~make_engine:(fun ~worker:_ _ -> engine)
+      (Svc.Pool.in_id_order jobs)
+  in
+  (List.rev !reports, out.Svc.Pool.summary)
+
 let service () =
   header
     "SERVICE  batch throughput: cold vs warm certificate cache (200-job \
@@ -488,15 +502,15 @@ let service () =
   let dir, jobs = build_corpus ~tag:"service" ~size:200 () in
   let engine = Svc.Engine.create ~cache_cap:1024 ~base_dir:dir () in
   let pass name =
-    let reports, summary = Svc.Engine.run_jobs engine jobs in
+    let reports, summary = local_pass engine jobs in
     Printf.printf "%s pass:\n" name;
     Format.printf "  %a@." Svc.Stats.pp_summary summary;
     (reports, summary)
   in
   let _, cold = pass "cold" in
   let _, warm = pass "warm" in
-  Format.printf "store: %a@." Svc.Cert_store.pp_stats
-    (Svc.Cert_store.stats (Svc.Engine.store engine));
+  Format.printf "store: %a@." Svc.Timing.pp_counts
+    (Svc.Cert_store.counters (Svc.Cert_store.stats (Svc.Engine.store engine)));
   let speedup = cold.Svc.Stats.s_total_ms /. warm.Svc.Stats.s_total_ms in
   Printf.printf
     "\nthroughput: cold %.1f jobs/sec, warm %.1f jobs/sec  (speedup %.1fx)\n"
@@ -663,14 +677,13 @@ let e16_stream ~quick ~update =
     (heap_growth < heap_budget)
     "E16a: heap grew past the fixed budget — something materialized the \
      corpus";
-  let st = outcome.Svc.Pool.store_stats in
+  let st = Svc.Timing.counter timing in
   Printf.printf
     "store: insertions=%d filter_skips=%d filter_hits=%d filter_fps=%d \
      flushes=%d\n"
-    st.Svc.Cert_store.insertions st.Svc.Cert_store.filter_skips
-    st.Svc.Cert_store.filter_hits st.Svc.Cert_store.filter_fps
-    st.Svc.Cert_store.flushes;
-  check (st.Svc.Cert_store.flushes > 0) "E16a: group commit never flushed";
+    (st "insertions") (st "filter_skips") (st "filter_hits") (st "filter_fps")
+    (st "flushes");
+  check (st "flushes" > 0) "E16a: group commit never flushed";
   let baseline_file = "BENCH_SCALE.json" in
   (if quick then
      Printf.printf "throughput gate skipped in quick mode (noise)\n"
@@ -719,7 +732,8 @@ let e16_stream ~quick ~update =
     ignore
       (Svc.Pool.run_once
          ~emit:(fun r -> reports := r :: !reports)
-         ~workers:1 ~make_engine (Svc.Pool.in_id_order jobs)
+         ~timing:(Svc.Timing.create ()) ~workers:1 ~make_engine
+         (Svc.Pool.in_id_order jobs)
         : Svc.Pool.outcome);
     List.rev !reports
   in
@@ -737,7 +751,7 @@ let e16_stream ~quick ~update =
           ~emit:(fun r ->
             if Buffer.length buf > 0 then Buffer.add_char buf '\n';
             Buffer.add_string buf (Svc.Stats.to_canonical_json r))
-          ~workers:n
+          ~timing:(Svc.Timing.create ()) ~workers:n
           ~make_engine:(fresh_engine (Printf.sprintf "s%d" n))
           (fun feed -> Svc.Workload.iter specb ~f:feed)
       in
@@ -758,7 +772,7 @@ let e16_stream ~quick ~update =
             ~emit:(fun r ->
               if Buffer.length buf2 > 0 then Buffer.add_char buf2 '\n';
               Buffer.add_string buf2 (Svc.Stats.to_canonical_json r))
-            ~workers:1
+            ~timing:(Svc.Timing.create ()) ~workers:1
             ~make_engine:(fresh_engine "m1")
             (fun feed ->
               match Svc.Manifest.iter_file manifest_path ~f:feed with
@@ -916,23 +930,20 @@ let e16_stream ~quick ~update =
           ~base_dir:dir ~write_batch:16 ?timing:wt ())
       (fun feed -> Svc.Workload.iter specd ~f:feed)
   in
-  let sd = outcome_d.Svc.Pool.store_stats in
-  let negatives = sd.Svc.Cert_store.filter_skips + sd.Svc.Cert_store.filter_fps in
+  let sd = Svc.Timing.counter timing_d in
+  let negatives = sd "filter_skips" + sd "filter_fps" in
   Printf.printf
     "pressure (cap=256, u=%d, t=%d): disk_loads=%d filter_hits=%d \
      filter_skips=%d filter_fps=%d flushes=%d\n"
-    specd.Svc.Workload.universe totald sd.Svc.Cert_store.disk_loads
-    sd.Svc.Cert_store.filter_hits sd.Svc.Cert_store.filter_skips
-    sd.Svc.Cert_store.filter_fps sd.Svc.Cert_store.flushes;
-  check
-    (sd.Svc.Cert_store.filter_skips > 0)
+    specd.Svc.Workload.universe totald (sd "disk_loads") (sd "filter_hits")
+    (sd "filter_skips") (sd "filter_fps") (sd "flushes");
+  check (sd "filter_skips" > 0)
     "E16d: the filter never short-circuited a disk probe";
-  check
-    (sd.Svc.Cert_store.filter_hits > 0)
+  check (sd "filter_hits" > 0)
     "E16d: the disk tier never served under pressure";
   check
     (negatives = 0
-    || float_of_int sd.Svc.Cert_store.filter_fps /. float_of_int negatives
+    || float_of_int (sd "filter_fps") /. float_of_int negatives
        < 0.05)
     "E16d: filter false-positive rate above 5%";
   check
@@ -1102,7 +1113,7 @@ let recovery () =
   (* ---- phase 0: clean pass, collect every record the store wrote ---- *)
   let dir0 = fresh_dir "clean" in
   let engine0 = Svc.Engine.create ~cache_cap:2048 ~cache_dir:dir0 () in
-  let _, clean = Svc.Engine.run_jobs engine0 jobs in
+  let _, clean = local_pass engine0 jobs in
   check (clean.Stats.s_served = njobs) "clean pass: not every job served";
   check (clean.Stats.s_unsound = 0) "clean pass: unsound bundle";
   let records =
@@ -1237,7 +1248,7 @@ let recovery () =
       Blob.real
   in
   let engine3 = Svc.Engine.create ~cache_cap:2048 ~cache_dir:dir3 ~io:io3 () in
-  let _, enospc = Svc.Engine.run_jobs engine3 jobs in
+  let _, enospc = local_pass engine3 jobs in
   let st3 = Store.stats (Svc.Engine.store engine3) in
   check (enospc.Stats.s_failed = 0) "ENOSPC: a job failed (batch not total)";
   check (enospc.Stats.s_served = njobs) "ENOSPC: not every job served";
@@ -1246,7 +1257,7 @@ let recovery () =
     "ENOSPC: store did not demote itself to memory-only";
   check (enospc.Stats.s_degraded > 0) "ENOSPC: no job reported served_degraded";
   check (st3.Store.disk_errors >= 3) "ENOSPC: disk errors not counted";
-  let _, enospc_warm = Svc.Engine.run_jobs engine3 jobs in
+  let _, enospc_warm = local_pass engine3 jobs in
   check
     (enospc_warm.Stats.s_degraded = njobs)
     "ENOSPC warm: memory tier did not carry the degraded store";
@@ -1272,7 +1283,7 @@ let recovery () =
               Blob.real
           in
           let engine = Svc.Engine.create ~cache_cap:2048 ~cache_dir:d ~io () in
-          (match Svc.Engine.run_jobs engine jobs with
+          (match local_pass engine jobs with
           | _ -> ()
           | exception Blob.Crashed _ -> incr crashes_fired);
           check c.Blob.crashed "crash: fault point never fired";
@@ -1281,7 +1292,7 @@ let recovery () =
           orphans_swept :=
             !orphans_swept
             + (Store.stats (Svc.Engine.store engine')).Store.orphans_swept;
-          (match Svc.Engine.run_jobs engine' jobs with
+          (match local_pass engine' jobs with
           | _, s ->
               check
                 (s.Stats.s_failed = 0 && s.Stats.s_unsound = 0)

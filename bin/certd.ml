@@ -597,7 +597,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
   (* the probe engine: an uncreatable cache directory (or a fault plan
      whose op 1 is that very mkdir) surfaces as a clean error before
      any output or fork. At --jobs 1 it is the engine; with workers it
-     only adds its store counters (say, an orphan sweep) to the footer *)
+     only adds its store counters (say, an orphan sweep) to the sink *)
   let probe =
     try make_engine ~worker:0 (Some timing) with
     | Sys_error e ->
@@ -626,13 +626,8 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
         r.Service.Stats.r_total_ms
         (if r.Service.Stats.r_cache_hit then "  [cache hit]" else "")
   in
-  let finish ?store code =
-    (match store with
-    | Some (stats, degraded) ->
-        Format.printf "store: %a%s@." Service.Cert_store.pp_stats stats
-          (if degraded then " [DEGRADED: memory-only]" else "")
-    | None -> ());
-    Format.printf "%a@." Service.Timing.pp timing;
+  let finish ?degraded code =
+    Format.printf "%a@." (Service.Pool.pp_footer ?degraded) timing;
     close_jsonl jsonl_oc;
     exit code
   in
@@ -658,7 +653,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
     done;
     Service.Pool.stop pool
   with
-  | store -> finish ~store (if !failed then 1 else 0)
+  | degraded -> finish ~degraded (if !failed then 1 else 0)
   | exception Service.Blob_io.Crashed p ->
       Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;
       finish 3

@@ -139,6 +139,30 @@ let zero_stats () =
     flushes = 0;
   }
 
+(** The counters by name, in the order the [store:] footer line prints
+    them: the form in which they ride the timing sink to an operator. *)
+let counters s =
+  [
+    ("hits", s.hits);
+    ("misses", s.misses);
+    ("insertions", s.insertions);
+    ("evictions", s.evictions);
+    ("disk_loads", s.disk_loads);
+    ("drops", s.drops);
+    ("disk_errors", s.disk_errors);
+    ("corrupt", s.corrupt);
+    ("quarantined", s.quarantined);
+    ("quarantine_evictions", s.quarantine_evictions);
+    ("orphans_swept", s.orphans_swept);
+    ("gc_evictions", s.gc_evictions);
+    ("filter_hits", s.filter_hits);
+    ("filter_skips", s.filter_skips);
+    ("filter_fps", s.filter_fps);
+    ("flushes", s.flushes);
+  ]
+
+let counter_names = List.map fst (counters (zero_stats ()))
+
 type t = {
   cap : int;
   dir : string option;
@@ -646,28 +670,6 @@ let remove t key =
       with Sys_error _ -> disk_error t)
   | _ -> ()
 
-(* pointwise sum, for aggregating the per-worker stores of a sharded
-   run into one operator-facing footer *)
-let add_stats a b =
-  {
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    insertions = a.insertions + b.insertions;
-    evictions = a.evictions + b.evictions;
-    disk_loads = a.disk_loads + b.disk_loads;
-    drops = a.drops + b.drops;
-    disk_errors = a.disk_errors + b.disk_errors;
-    corrupt = a.corrupt + b.corrupt;
-    quarantined = a.quarantined + b.quarantined;
-    orphans_swept = a.orphans_swept + b.orphans_swept;
-    gc_evictions = a.gc_evictions + b.gc_evictions;
-    quarantine_evictions = a.quarantine_evictions + b.quarantine_evictions;
-    filter_hits = a.filter_hits + b.filter_hits;
-    filter_skips = a.filter_skips + b.filter_skips;
-    filter_fps = a.filter_fps + b.filter_fps;
-    flushes = a.flushes + b.flushes;
-  }
-
 (** The persisted records of the disk tier as (file name, content hash)
     pairs, sorted by name — the "hash set of stored records" any two
     runs of the same workload must agree on, however the work was
@@ -685,13 +687,3 @@ let disk_snapshot t =
       |> List.map (fun f ->
              (f, Hash64.of_string (t.io.Blob.read_file (Filename.concat dir f))))
       |> List.sort compare
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "hits=%d misses=%d insertions=%d evictions=%d disk_loads=%d drops=%d \
-     disk_errors=%d corrupt=%d quarantined=%d quarantine_evictions=%d \
-     orphans_swept=%d gc_evictions=%d filter_hits=%d filter_skips=%d \
-     filter_fps=%d flushes=%d"
-    s.hits s.misses s.insertions s.evictions s.disk_loads s.drops s.disk_errors
-    s.corrupt s.quarantined s.quarantine_evictions s.orphans_swept
-    s.gc_evictions s.filter_hits s.filter_skips s.filter_fps s.flushes

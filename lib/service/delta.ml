@@ -103,8 +103,6 @@ let graph s = s.s_graph ()
 
 let bundle s = s.s_bundle ()
 
-let now_ms () = Unix.gettimeofday () *. 1000.0
-
 (* the engine's representation policy, verbatim: sessions must be
    byte-comparable with [Engine.run_job] on the same instance *)
 let fresh_rep g =
@@ -118,10 +116,10 @@ let memo_totals () =
 
 let base_report (job : Manifest.job) ~id ?n ?m ~t0 status =
   Stats.bare_report ~id ~property:job.Manifest.property ~k:job.Manifest.k ?n
-    ?m ~total_ms:(now_ms () -. t0) status
+    ?m ~total_ms:(Timing.now_ms () -. t0) status
 
 let create ?retry engine (job : Manifest.job) =
-  let t0 = now_ms () in
+  let t0 = Timing.now_ms () in
   let timing = engine.Engine.timing in
   match
     Timing.time timing Timing.Parse (fun () ->
@@ -186,7 +184,7 @@ let create ?retry engine (job : Manifest.job) =
              commits only with a report), so retries rerun it whole *)
           let exec_once ~full ~id (delta : Incr.delta) :
               Stats.job_report * patch_info =
-            let t0 = now_ms () in
+            let t0 = Timing.now_ms () in
             let g0 = !cur_graph in
             let g1 = Timing.time timing Timing.Parse (fun () -> Incr.apply g0 delta) in
             let n = Graph.n g1 and m = Graph.m g1 in
@@ -241,14 +239,14 @@ let create ?retry engine (job : Manifest.job) =
                       Cert_store.remove store key;
                       Some (Error [ "bundle: " ^ e ])
                   | Ok labels -> (
-                      let tv = now_ms () in
+                      let tv = Timing.now_ms () in
                       match
                         Timing.time timing Timing.Verify (fun () ->
                             Scheme.run_edge cfg1 scheme labels)
                       with
                       | Scheme.Accepted ->
                           remember key entry.Cert_store.e_bundle labels;
-                          Some (Ok (entry, labels, now_ms () -. tv))
+                          Some (Ok (entry, labels, Timing.now_ms () -. tv))
                       | Scheme.Rejected rs ->
                           Cert_store.remove store key;
                           Some
@@ -270,7 +268,7 @@ let create ?retry engine (job : Manifest.job) =
                     r_verify_ms = verify_ms;
                     r_label_bits = entry.Cert_store.e_label_bits;
                     r_bundle_bits = Bundle.size_bits entry.Cert_store.e_bundle;
-                    r_total_ms = now_ms () -. t0;
+                    r_total_ms = Timing.now_ms () -. t0;
                   },
                   { info with pi_mode = "cached"; pi_verified = n } )
             | (None | Some (Error _)) as cache_outcome -> (
@@ -279,7 +277,7 @@ let create ?retry engine (job : Manifest.job) =
                 in
                 (* 2. fresh path: transplant, patch-prove, splice,
                    localized verify, store *)
-                let tp = now_ms () in
+                let tp = Timing.now_ms () in
                 let hit0, miss0 = memo_totals () in
                 let patched =
                   Timing.time timing Timing.Prove (fun () ->
@@ -290,7 +288,7 @@ let create ?retry engine (job : Manifest.job) =
                         transplanted,
                         prev <> None ))
                 in
-                let prove_ms = now_ms () -. tp in
+                let prove_ms = Timing.now_ms () -. tp in
                 let hit1, miss1 = memo_totals () in
                 let outcome, rep1, transplanted, spliced = patched in
                 let mode =
@@ -316,7 +314,7 @@ let create ?retry engine (job : Manifest.job) =
                         (base Stats.Declined) with
                         r_prove_ms = prove_ms;
                         r_reject_reasons = reject_reasons;
-                        r_total_ms = now_ms () -. t0;
+                        r_total_ms = Timing.now_ms () -. t0;
                       },
                       info )
                 | Ok patch ->
@@ -334,7 +332,7 @@ let create ?retry engine (job : Manifest.job) =
                           (base Stats.Declined) with
                           r_prove_ms = prove_ms;
                           r_reject_reasons = reject_reasons;
-                          r_total_ms = now_ms () -. t0;
+                          r_total_ms = Timing.now_ms () -. t0;
                         },
                         info )
                     end
@@ -350,14 +348,14 @@ let create ?retry engine (job : Manifest.job) =
                           ( {
                               (base (Stats.Unsound e)) with
                               r_prove_ms = prove_ms;
-                              r_total_ms = now_ms () -. t0;
+                              r_total_ms = Timing.now_ms () -. t0;
                             },
                             info )
                       | Ok bundle -> (
                           let verify_set =
                             if spliced then patch.I.p_verify else []
                           in
-                          let tv = now_ms () in
+                          let tv = Timing.now_ms () in
                           let verdict =
                             Timing.time timing Timing.Verify (fun () ->
                                 match verify_set with
@@ -366,7 +364,7 @@ let create ?retry engine (job : Manifest.job) =
                                     Scheme.run_edge_on cfg1 scheme
                                       patch.I.p_labels vs)
                           in
-                          let verify_ms = now_ms () -. tv in
+                          let verify_ms = Timing.now_ms () -. tv in
                           let info =
                             {
                               info with
@@ -397,7 +395,7 @@ let create ?retry engine (job : Manifest.job) =
                                   r_prove_ms = prove_ms;
                                   r_verify_ms = verify_ms;
                                   r_reject_reasons = reject_reasons;
-                                  r_total_ms = now_ms () -. t0;
+                                  r_total_ms = Timing.now_ms () -. t0;
                                 },
                                 info )
                           | Scheme.Accepted ->
@@ -422,7 +420,7 @@ let create ?retry engine (job : Manifest.job) =
                                   r_label_bits = label_bits;
                                   r_bundle_bits = Bundle.size_bits bundle;
                                   r_reject_reasons = reject_reasons;
-                                  r_total_ms = now_ms () -. t0;
+                                  r_total_ms = Timing.now_ms () -. t0;
                                 },
                                 info )
                         )
@@ -465,7 +463,7 @@ let step_delta ?retry s ~full (d : Incr.delta) =
       ( base_report s.s_job ~id
           ~n:(Graph.n (s.s_graph ()))
           ~m:(Graph.m (s.s_graph ()))
-          ~t0:(now_ms ())
+          ~t0:(Timing.now_ms ())
           (Stats.Input_error e),
         no_info "none" )
   | Ok d -> s.s_exec ~retry ~full ~id d
@@ -479,7 +477,7 @@ let step ?retry s ~full ops =
       ( base_report s.s_job ~id
           ~n:(Graph.n (s.s_graph ()))
           ~m:(Graph.m (s.s_graph ()))
-          ~t0:(now_ms ())
+          ~t0:(Timing.now_ms ())
           (Stats.Input_error e),
         no_info "none" )
   | Ok d -> step_delta ?retry s ~full d

@@ -76,8 +76,6 @@ let retry t = t.retry
 
 let base_dir t = t.base_dir
 
-let now_ms () = Unix.gettimeofday () *. 1000.0
-
 (** Run [f attempt] until it returns, retrying on any exception except
     [Blob_io.Crashed] (simulated process death must propagate). Retries
     follow the deterministic doubling backoff and stop when either
@@ -148,10 +146,10 @@ let default_rep c =
   else Some (PW.heuristic_interval_representation g)
 
 let run_once t (job : Manifest.job) : Stats.job_report =
-  let t0 = now_ms () in
+  let t0 = Timing.now_ms () in
   let base ?n ?m status =
     Stats.bare_report ~id:job.job_id ~property:job.property ~k:job.k ?n ?m
-      ~total_ms:(now_ms () -. t0) status
+      ~total_ms:(Timing.now_ms () -. t0) status
   in
   match
     Timing.time t.timing Timing.Parse (fun () ->
@@ -176,12 +174,12 @@ let run_once t (job : Manifest.job) : Stats.job_report =
           let cfg = Config.random_ids (Random.State.make [| job.seed |]) g in
           let key = Cert_store.key ~property:job.property ~k:job.k g in
           let verify_labels labels =
-            let tv = now_ms () in
+            let tv = Timing.now_ms () in
             let outcome =
               Timing.time t.timing Timing.Verify (fun () ->
                   Scheme.run_edge cfg scheme labels)
             in
-            (outcome, now_ms () -. tv)
+            (outcome, Timing.now_ms () -. tv)
           in
           (* 1. cache tier: decode + re-verify before serving *)
           let cached =
@@ -217,14 +215,14 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                 r_verify_ms = verify_ms;
                 r_label_bits = entry.Cert_store.e_label_bits;
                 r_bundle_bits = Bundle.size_bits entry.Cert_store.e_bundle;
-                r_total_ms = now_ms () -. t0;
+                r_total_ms = Timing.now_ms () -. t0;
               }
           | (None | Some (Error _)) as cache_outcome -> (
               let reject_reasons =
                 match cache_outcome with Some (Error rs) -> rs | _ -> []
               in
               (* 2. fresh path: prove, encode, verify, store *)
-              let tp = now_ms () in
+              let tp = Timing.now_ms () in
               match
                 Timing.time t.timing Timing.Prove (fun () ->
                     scheme.Scheme.es_prove cfg)
@@ -232,12 +230,12 @@ let run_once t (job : Manifest.job) : Stats.job_report =
               | None ->
                   {
                     (base ~n ~m Stats.Declined) with
-                    r_prove_ms = now_ms () -. tp;
+                    r_prove_ms = Timing.now_ms () -. tp;
                     r_reject_reasons = reject_reasons;
-                    r_total_ms = now_ms () -. t0;
+                    r_total_ms = Timing.now_ms () -. t0;
                   }
               | Some labels -> (
-                  let prove_ms = now_ms () -. tp in
+                  let prove_ms = Timing.now_ms () -. tp in
                   match
                     Timing.time t.timing Timing.Encode (fun () ->
                         Bundle.encode ~encode_label:scheme.Scheme.es_encode g
@@ -247,7 +245,7 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                       {
                         (base ~n ~m (Stats.Unsound e)) with
                         r_prove_ms = prove_ms;
-                        r_total_ms = now_ms () -. t0;
+                        r_total_ms = Timing.now_ms () -. t0;
                       }
                   | Ok bundle -> (
                       match verify_labels labels with
@@ -269,7 +267,7 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                             r_prove_ms = prove_ms;
                             r_verify_ms = verify_ms;
                             r_reject_reasons = reject_reasons;
-                            r_total_ms = now_ms () -. t0;
+                            r_total_ms = Timing.now_ms () -. t0;
                           }
                       | Scheme.Accepted, verify_ms ->
                           let label_bits =
@@ -289,7 +287,7 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                             r_label_bits = label_bits;
                             r_bundle_bits = Bundle.size_bits bundle;
                             r_reject_reasons = reject_reasons;
-                            r_total_ms = now_ms () -. t0;
+                            r_total_ms = Timing.now_ms () -. t0;
                           })))))
 
 (* The total, retrying entry point for "a job-shaped computation": every
@@ -305,12 +303,18 @@ let run_once t (job : Manifest.job) : Stats.job_report =
 let run_delta_job ?retry:retry_override t ~job_id ~property ~k
     ~(fallback_info : 'info) (step : attempt:int -> Stats.job_report * 'info) :
     Stats.job_report * 'info =
-  let t0 = now_ms () in
+  let t0 = Timing.now_ms () in
   let retry = Option.value retry_override ~default:t.retry in
-  match with_retries ~retry ~now:now_ms (fun attempt -> step ~attempt) with
+  match
+    with_retries ~retry ~now:Timing.now_ms (fun attempt -> step ~attempt)
+  with
   | Ok ((report, info), retries) ->
       let report =
-        { report with Stats.r_retries = retries; r_total_ms = now_ms () -. t0 }
+        {
+          report with
+          Stats.r_retries = retries;
+          r_total_ms = Timing.now_ms () -. t0;
+        }
       in
       (* a success under a demoted (memory-only) store is still a
          success, but the operator must see it in the status *)
@@ -326,7 +330,8 @@ let run_delta_job ?retry:retry_override t ~job_id ~property ~k
       in
       (report, info)
   | Error (msg, retries) ->
-      ( Stats.bare_report ~id:job_id ~property ~k ~total_ms:(now_ms () -. t0)
+      ( Stats.bare_report ~id:job_id ~property ~k
+          ~total_ms:(Timing.now_ms () -. t0)
           ~retries (Stats.Failed msg),
         fallback_info )
 
@@ -335,42 +340,14 @@ let run_job ?retry t (job : Manifest.job) : Stats.job_report =
     (run_delta_job ?retry t ~job_id:job.job_id ~property:job.property ~k:job.k
        ~fallback_info:() (fun ~attempt:_ -> (run_once t job, ())))
 
-(* Copy the store's negative-lookup filter and group-commit traffic and
-   the GC minor allocation count into the timing sink, where they
-   render next to the histogram (certd footer, --server-stats) and
-   merge across workers. They are cumulative totals of this process,
-   so [set_counter] (overwrite) keeps one snapshot per process and a
-   driver's [absorb] sums across processes. *)
-let snapshot_store_counters t =
-  match t.timing with
-  | None -> ()
-  | Some timing ->
-      let s = Cert_store.stats t.store in
-      Timing.set_counter timing "filter_hit" s.Cert_store.filter_hits;
-      Timing.set_counter timing "filter_skip" s.Cert_store.filter_skips;
-      Timing.set_counter timing "filter_fp" s.Cert_store.filter_fps;
-      Timing.set_counter timing "store_flush" s.Cert_store.flushes;
-      Timing.set_counter timing "minor_words"
-        (int_of_float (Gc.minor_words ()))
+(* This process's counters, in a fixed order: the composition memo's
+   (process-global), the store's, and the GC's minor words. All are
+   cumulative; a worker ships differences of two snapshots. *)
+let counters_of (s : Cert_store.stats) =
+  Lcp_cert.Memo.counters ()
+  @ Cert_store.counters s
+  @ [ ("minor_words", int_of_float (Gc.minor_words ())) ]
 
-(* [snapshot_store_counters] plus the process-global composition-memo
-   counters. A worker ships the memo counters as per-job deltas
-   instead, so it takes only the store snapshot. *)
-let snapshot_counters t =
-  (match t.timing with
-  | None -> ()
-  | Some timing ->
-      List.iter
-        (fun (name, v) -> Timing.set_counter timing name v)
-        (Lcp_cert.Memo.counters ()));
-  snapshot_store_counters t
+let counters t = counters_of (Cert_store.stats t.store)
 
-(* Reports are emitted and returned in canonical order (sorted by job
-   id), not arrival order, so the JSONL stream of a sequential run is
-   byte-comparable with any sharded run of the same manifest. *)
-let run_jobs ?(emit = fun (_ : Stats.job_report) -> ()) t jobs =
-  let reports = Stats.sort_reports (List.map (run_job t) jobs) in
-  List.iter emit reports;
-  flush t;
-  snapshot_counters t;
-  (reports, Stats.summarize reports)
+let counter_names = List.map fst (counters_of (Cert_store.zero_stats ()))

@@ -110,46 +110,52 @@ type failure = Crash of string | Died of int
 
 type forked = {
   slots : slot array;
-  timing : Timing.t option;
-  probe : Engine.t option;  (** adds its store counters to {!stop}'s *)
+  timing : Timing.t;
+  probe : Engine.t option;  (** adds its store counters at {!stop} *)
   mutable failure : failure option;
   prev_int : Sys.signal_behavior;
   prev_pipe : Sys.signal_behavior;
 }
 
-type t = Inline of Engine.t | Forked of forked
+type t = Inline of Engine.t * Timing.t | Forked of forked
 
 (** Start a pool of [workers] (at most {!Worker.max_workers}, else
-    [Invalid_argument], before any fork).
+    [Invalid_argument], before any fork). Every counter the engines
+    count ends up in [timing].
 
     At [workers = 1] jobs run in-process on [engine] — or, without one,
-    on [make_engine ~worker:0 timing]. At [workers > 1] each worker
-    calls [make_engine ~worker:idx] after the fork with its own timing
-    sink (when [timing] is given, the samples it ships are absorbed
-    into [timing]); [engine], if given, is only the caller's probe and
-    contributes its store counters to {!stop}'s totals.
+    on [make_engine ~worker:0 (Some timing)] — and {!stop} adds the
+    engine's counters. At [workers > 1] each worker calls
+    [make_engine ~worker:idx] after the fork with its own timing sink,
+    and every sample and counter delta it ships is absorbed into
+    [timing], where the counter names are declared from the start;
+    [engine], if given, is only the caller's probe, whose store
+    counters {!stop} adds.
 
     Until {!stop}, SIGINT is owned by the pool: the handler kills and
     reaps every worker (no orphans holding the shared cache
     directory), runs [on_interrupt] (the driver passes a tmp-file
     sweep of that directory here), and exits 130. SIGPIPE is ignored,
     so a dead worker surfaces as EPIPE instead of killing the parent. *)
-let start ?timing ?on_interrupt ?engine ~workers ~make_engine () =
+let start ~timing ?on_interrupt ?engine ~workers ~make_engine () =
   (match Worker.check_count workers with
   | Ok _ -> ()
   | Error e -> invalid_arg ("Pool.start: workers " ^ e));
   if workers = 1 then
     Inline
-      (match engine with Some e -> e | None -> make_engine ~worker:0 timing)
+      ( (match engine with
+        | Some e -> e
+        | None -> make_engine ~worker:0 (Some timing)),
+        timing )
   else begin
-    let timed = timing <> None in
+    Timing.declare timing Engine.counter_names;
     let spawned = ref [] in
     let slots =
       Array.init workers (fun idx ->
           let shed =
             List.concat_map (fun (w : Worker.t) -> [ w.to_w; w.from_w ]) !spawned
           in
-          let w = Worker.spawn ~shed ~make_engine ~timed idx in
+          let w = Worker.spawn ~shed ~make_engine ~timed:true idx in
           spawned := w :: !spawned;
           Unix.set_nonblock w.Worker.to_w;
           {
@@ -270,7 +276,7 @@ let run_forked p emit produce =
       | Some msg ->
           (match msg with
           | Worker.Done { report; samples; _ } ->
-              Option.iter (fun t -> Timing.absorb t samples) p.timing;
+              Timing.absorb p.timing samples;
               Queue.push report s.reports
           | Worker.Crashed path -> fail p (Crash path)
           | Worker.Ready | Worker.Bye _ -> ());
@@ -336,7 +342,7 @@ let run_forked p emit produce =
     the pool is then gone. *)
 let run ?(emit = fun (_ : Stats.job_report) -> ()) t produce =
   match t with
-  | Inline engine ->
+  | Inline (engine, _) ->
       let summary = ref Stats.summary_zero in
       produce (fun job ->
           let r = Engine.run_job engine job in
@@ -345,18 +351,19 @@ let run ?(emit = fun (_ : Stats.job_report) -> ()) t produce =
       !summary
   | Forked p -> run_forked p emit produce
 
-(** Group-commit every store, dismiss the workers, and return the
-    store counters summed over every engine (the in-process one, or
-    the workers' plus the probe's) and whether any worker's store
-    demoted to memory-only. Raises like {!run} when a worker crashed
-    in its final commit. *)
+let counts_only ctrs = { Timing.w_stages = []; w_ctrs = ctrs }
+
+(** Group-commit every store, dismiss the workers, absorb the counters
+    not yet in the pool's sink (the in-process engine's totals, or the
+    workers' last deltas and the probe's store counters), and return
+    whether any store demoted to memory-only. Raises like {!run} when
+    a worker crashed in its final commit. *)
 let stop t =
   match t with
-  | Inline engine ->
+  | Inline (engine, timing) ->
       Engine.flush engine;
-      Engine.snapshot_counters engine;
-      let store = Engine.store engine in
-      (Cert_store.stats store, Cert_store.degraded store)
+      Timing.absorb timing (counts_only (Engine.counters engine));
+      Cert_store.degraded (Engine.store engine)
   | Forked p ->
       Array.iter
         (fun s ->
@@ -364,24 +371,22 @@ let stop t =
         p.slots;
       let last = Worker.quit_all (List.map (fun s -> s.w) (Array.to_list p.slots)) in
       restore_signals p;
-      let stats =
-        ref
-          (match p.probe with
-          | Some e -> Cert_store.stats (Engine.store e)
-          | None -> Cert_store.zero_stats ())
-      in
+      Option.iter
+        (fun e ->
+          let store = Cert_store.stats (Engine.store e) in
+          Timing.absorb p.timing (counts_only (Cert_store.counters store)))
+        p.probe;
       let degraded = ref false in
       List.iteri
         (fun i -> function
-          | Some (Worker.Bye { samples; store_stats; degraded = d }) ->
-              Option.iter (fun t -> Timing.absorb t samples) p.timing;
-              stats := Cert_store.add_stats !stats store_stats;
+          | Some (Worker.Bye { samples; degraded = d }) ->
+              Timing.absorb p.timing samples;
               degraded := !degraded || d
           | Some (Worker.Crashed path) -> fail p (Crash path)
           | Some (Worker.Ready | Worker.Done _) | None -> fail p (Died i))
         last;
       Option.iter (fun f -> raise (failure_exn f)) p.failure;
-      (!stats, !degraded)
+      !degraded
 
 (** Feed [jobs] stably sorted by job id: the batch order, whose reports
     come out in canonical order. *)
@@ -392,15 +397,23 @@ let in_id_order jobs feed =
          compare a.Manifest.job_id b.Manifest.job_id)
        jobs)
 
-type outcome = {
-  summary : Stats.summary;
-  store_stats : Cert_store.stats;  (** summed over every engine's store *)
-  degraded : bool;
-}
+type outcome = { summary : Stats.summary; degraded : bool }
 
 (** A one-pass pool: {!start}, one {!run}, {!stop}. *)
-let run_once ?emit ?timing ~workers ~make_engine produce =
-  let t = start ?timing ~workers ~make_engine () in
+let run_once ?emit ~timing ~workers ~make_engine produce =
+  let t = start ~timing ~workers ~make_engine () in
   let summary = run ?emit t produce in
-  let store_stats, degraded = stop t in
-  { summary; store_stats; degraded }
+  { summary; degraded = stop t }
+
+(** A run's footer, read from its sink: with [degraded] (what {!stop}
+    returned), a [store:] line of the store counters in
+    {!Cert_store.counter_names} order, marked when a store demoted to
+    memory-only; then the timing histogram and every other counter. *)
+let pp_footer ?degraded ppf timing =
+  Option.iter
+    (fun d ->
+      Format.fprintf ppf "store: %a%s@\n" Timing.pp_counts
+        (Timing.select timing Cert_store.counter_names)
+        (if d then " [DEGRADED: memory-only]" else ""))
+    degraded;
+  Timing.pp_except Cert_store.counter_names ppf timing

@@ -30,11 +30,11 @@
 
     {b Graceful degradation and observability.} A worker whose store
     demoted to memory-only keeps serving — its reports carry
-    [served_degraded] — and the daemon aggregates per-worker store
-    counters (corruption, quarantine, orphan sweeps) plus the
-    [Timing] percentile machinery into a live [Stats_req] endpoint:
-    p50/p99 per stage, queue depth and high-water mark, drops, worker
-    restarts.
+    [served_degraded]. Every worker message carries its counter deltas
+    (store, composition memo, GC), timed or not, and the daemon sums
+    them into its [Timing] sink; with the stage percentiles, the job
+    tallies, queue depth and high-water mark, drops and worker
+    restarts, that sink answers a live [Stats_req] endpoint.
 
     {b Shutdown.} SIGTERM/SIGINT (via the self-pipe trick, so the
     handler does nothing async-unsafe) close the listener, refuse new
@@ -121,7 +121,6 @@ type worker = {
   mutable w_done : int;  (** jobs completed, across all incarnations *)
   mutable w_preready_deaths : int;  (** consecutive deaths before Ready *)
   mutable w_stopped : bool;  (** supervisor gave up respawning this slot *)
-  mutable w_last_store : Cert_store.stats option;
   mutable w_degraded : bool;
 }
 
@@ -150,13 +149,6 @@ type client = {
 
 type counters = {
   mutable submitted : int;
-  mutable completed : int;
-  mutable served : int;  (** fresh + cached + degraded *)
-  mutable served_degraded : int;
-  mutable declined : int;
-  mutable failed : int;
-  mutable input_error : int;
-  mutable unsound : int;
   mutable requeued : int;  (** jobs given their one post-crash retry *)
   mutable dropped : int;  (** queued jobs of clients that disconnected *)
   mutable rejected_overload : int;  (** queue full, or draining *)
@@ -183,7 +175,8 @@ type t = {
   journal : Journal.t option;
   sig_r : Unix.file_descr;
   sig_w : Unix.file_descr;
-  timing : Timing.t;
+  timing : Timing.t;  (** stage samples and every worker's counters *)
+  mutable jobs : Stats.summary;  (** every job answered to a client *)
   workers : worker array;
   mutable clients : client list;
   retry_q : job_ctx Queue.t;  (** crash-orphaned jobs, served first *)
@@ -191,8 +184,6 @@ type t = {
   mutable next_client : int;
   mutable next_token : int;
   mutable draining : bool;
-  mutable retired_store : Cert_store.stats;
-      (** summed store counters of dead worker incarnations *)
   started : float;
   c : counters;
 }
@@ -379,18 +370,6 @@ let failed_report (jc : job_ctx) msg =
     ~property:jc.jc_job.Manifest.property ~k:jc.jc_job.Manifest.k ~retries:1
     (Stats.Failed msg)
 
-let count_status t (r : Stats.job_report) =
-  t.c.completed <- t.c.completed + 1;
-  match r.Stats.r_status with
-  | Stats.Served_fresh | Stats.Served_cached -> t.c.served <- t.c.served + 1
-  | Stats.Served_degraded ->
-      t.c.served <- t.c.served + 1;
-      t.c.served_degraded <- t.c.served_degraded + 1
-  | Stats.Declined -> t.c.declined <- t.c.declined + 1
-  | Stats.Input_error _ -> t.c.input_error <- t.c.input_error + 1
-  | Stats.Unsound _ -> t.c.unsound <- t.c.unsound + 1
-  | Stats.Failed _ -> t.c.failed <- t.c.failed + 1
-
 let report_response (jc : job_ctx) (r : Stats.job_report) =
   Wire.Report
     {
@@ -459,7 +438,7 @@ let finish_job ?(patch = "{}") t jc (r : Stats.job_report) =
     | _ -> ()
   end
   else begin
-    count_status t r;
+    t.jobs <- Stats.summary_add t.jobs r;
     journal_serve t jc r patch;
     match find_client t jc.jc_client with
     | Some c ->
@@ -598,14 +577,6 @@ let rec dispatch t =
 (* ---------------------------------------------------------------- *)
 (* the stats endpoint                                                *)
 
-let store_totals t =
-  Array.fold_left
-    (fun acc w ->
-      match w.w_last_store with
-      | Some s -> Cert_store.add_stats acc s
-      | None -> acc)
-    t.retired_store t.workers
-
 let stats_json t =
   let live =
     Array.fold_left
@@ -618,7 +589,7 @@ let stats_json t =
       0 t.workers
   in
   let degraded = Array.exists (fun w -> w.w_degraded) t.workers in
-  let s = store_totals t in
+  let j = t.jobs in
   let durability =
     Printf.sprintf
       "{\"resumed\":%d,\"rebuilt_steps\":%d,\"resume_mismatch\":%d,\
@@ -631,20 +602,18 @@ let stats_json t =
       | None -> "null")
   in
   Printf.sprintf
-    "{\"uptime_s\":%.3f,\"draining\":%b,\"queue\":{\"depth\":%d,\"cap\":%d,\"max_depth\":%d,\"client_cap\":%d,\"inflight\":%d},\"jobs\":{\"submitted\":%d,\"completed\":%d,\"served\":%d,\"served_degraded\":%d,\"declined\":%d,\"failed\":%d,\"input_error\":%d,\"unsound\":%d,\"requeued\":%d,\"dropped\":%d},\"admission\":{\"rejected_overload\":%d,\"rejected_quota\":%d,\"parse_errors\":%d},\"workers\":{\"configured\":%d,\"live\":%d,\"restarts\":%d,\"stopped\":%d,\"degraded\":%b},\"store\":{\"hits\":%d,\"misses\":%d,\"insertions\":%d,\"corrupt\":%d,\"quarantined\":%d,\"quarantine_evictions\":%d,\"orphans_swept\":%d,\"disk_errors\":%d,\"gc_evictions\":%d,\"filter_hits\":%d,\"filter_skips\":%d,\"filter_fps\":%d,\"flushes\":%d},\"durability\":%s,\"counters\":%s,\"stages\":%s}"
+    "{\"uptime_s\":%.3f,\"draining\":%b,\"queue\":{\"depth\":%d,\"cap\":%d,\"max_depth\":%d,\"client_cap\":%d,\"inflight\":%d},\"jobs\":{\"submitted\":%d,\"completed\":%d,\"served\":%d,\"served_degraded\":%d,\"cached\":%d,\"cache_rejects\":%d,\"declined\":%d,\"failed\":%d,\"input_error\":%d,\"unsound\":%d,\"requeued\":%d,\"dropped\":%d},\"admission\":{\"rejected_overload\":%d,\"rejected_quota\":%d,\"parse_errors\":%d},\"workers\":{\"configured\":%d,\"live\":%d,\"restarts\":%d,\"stopped\":%d,\"degraded\":%b},\"store\":%s,\"durability\":%s,\"counters\":%s,\"stages\":%s}"
     (Unix.gettimeofday () -. t.started)
     t.draining (queue_depth t) t.cfg.queue_cap t.c.max_queue t.cfg.client_cap
-    (inflight t) t.c.submitted t.c.completed t.c.served t.c.served_degraded
-    t.c.declined t.c.failed t.c.input_error t.c.unsound t.c.requeued
-    t.c.dropped t.c.rejected_overload t.c.rejected_quota t.c.parse_errors
-    t.cfg.workers live t.c.restarts stopped degraded s.Cert_store.hits
-    s.Cert_store.misses s.Cert_store.insertions s.Cert_store.corrupt
-    s.Cert_store.quarantined s.Cert_store.quarantine_evictions
-    s.Cert_store.orphans_swept s.Cert_store.disk_errors
-    s.Cert_store.gc_evictions s.Cert_store.filter_hits
-    s.Cert_store.filter_skips s.Cert_store.filter_fps s.Cert_store.flushes
+    (inflight t) t.c.submitted j.Stats.s_jobs j.Stats.s_served
+    j.Stats.s_degraded j.Stats.s_cached j.Stats.s_cache_rejects
+    j.Stats.s_declined j.Stats.s_failed j.Stats.s_errors j.Stats.s_unsound
+    t.c.requeued t.c.dropped t.c.rejected_overload t.c.rejected_quota
+    t.c.parse_errors t.cfg.workers live t.c.restarts stopped degraded
+    (Timing.json_of_counts (Timing.select t.timing Cert_store.counter_names))
     durability
-    (Timing.counters_json t.timing)
+    (Timing.json_of_counts
+       (Timing.counters ~hide:Cert_store.counter_names t.timing))
     (Timing.report_json t.timing)
 
 (* ---------------------------------------------------------------- *)
@@ -1038,9 +1007,8 @@ let on_client_readable t c =
 (* ---------------------------------------------------------------- *)
 (* worker events                                                     *)
 
-let handle_done t w (token, report, patch, samples, store_stats, degraded) =
+let handle_done t w (token, report, patch, samples, degraded) =
   Timing.absorb t.timing samples;
-  w.w_last_store <- Some store_stats;
   w.w_degraded <- degraded;
   match w.w_busy with
   | Some jc when jc.jc_token = token ->
@@ -1175,10 +1143,8 @@ let on_worker_readable t w (p : Worker.t) =
             w.w_ready <- true;
             w.w_preready_deaths <- 0;
             dispatch t
-        | Worker.Done { token; report; patch; samples; store_stats; degraded }
-          ->
-            handle_done t w
-              (token, report, patch, samples, store_stats, degraded)
+        | Worker.Done { token; report; patch; samples; degraded } ->
+            handle_done t w (token, report, patch, samples, degraded)
         | Worker.Crashed _ | Worker.Bye _ -> ());
         drain ()
   in
@@ -1236,21 +1202,13 @@ let final_client_sweep t =
 let finish t =
   final_client_sweep t;
   (* the queue is drained and every worker is idle: dismiss the pool,
-     keeping each worker's post-commit store counters *)
+     absorbing each worker's final-commit counters *)
   let live = List.filter (fun w -> w.w_proc <> None) (Array.to_list t.workers) in
   List.iter2
     (fun w last ->
-      let final =
-        match last with
-        | Some (Worker.Bye { samples; store_stats; _ }) ->
-            Timing.absorb t.timing samples;
-            Some store_stats
-        | _ -> w.w_last_store
-      in
-      Option.iter
-        (fun s -> t.retired_store <- Cert_store.add_stats t.retired_store s)
-        final;
-      w.w_last_store <- None;
+      (match last with
+      | Some (Worker.Bye { samples; _ }) -> Timing.absorb t.timing samples
+      | _ -> ());
       w.w_proc <- None)
     live
     (Worker.quit_all (List.filter_map (fun w -> w.w_proc) live));
@@ -1271,8 +1229,8 @@ let finish t =
   log t
     "drained: %d submitted, %d completed (%d served, %d failed), %d \
      restarts, max queue %d"
-    t.c.submitted t.c.completed t.c.served t.c.failed t.c.restarts
-    t.c.max_queue
+    t.c.submitted t.jobs.Stats.s_jobs t.jobs.Stats.s_served
+    t.jobs.Stats.s_failed t.c.restarts t.c.max_queue
 
 (* [Unix.select] fails with EINVAL past FD_SETSIZE (~1024) fds, and
    every worker holds two of them; stop accepting below what is left —
@@ -1424,6 +1382,8 @@ let run (cfg : config) =
      raise
        (Sys_error
           (Printf.sprintf "%s: %s" cfg.socket_path (Unix.error_message e))));
+  let timing = Timing.create () in
+  Timing.declare timing Engine.counter_names;
   let t =
     {
       cfg;
@@ -1434,7 +1394,8 @@ let run (cfg : config) =
       journal;
       sig_r;
       sig_w;
-      timing = Timing.create ();
+      timing;
+      jobs = Stats.summary_zero;
       workers =
         Array.init cfg.workers (fun w_idx ->
             {
@@ -1445,7 +1406,6 @@ let run (cfg : config) =
               w_done = 0;
               w_preready_deaths = 0;
               w_stopped = false;
-              w_last_store = None;
               w_degraded = false;
             });
       clients = [];
@@ -1454,18 +1414,10 @@ let run (cfg : config) =
       next_client = 0;
       next_token = 0;
       draining = false;
-      retired_store = Cert_store.zero_stats ();
       started = Unix.gettimeofday ();
       c =
         {
           submitted = 0;
-          completed = 0;
-          served = 0;
-          served_degraded = 0;
-          declined = 0;
-          failed = 0;
-          input_error = 0;
-          unsound = 0;
           requeued = 0;
           dropped = 0;
           rejected_overload = 0;

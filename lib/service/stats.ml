@@ -211,7 +211,8 @@ type summary = {
   s_prove_ms : float;
   s_verify_ms : float;
   s_jobs_per_sec : float;
-  s_hit_rate : float;  (** cache hits / served jobs *)
+  s_hits : int;  (** served jobs that were cache hits *)
+  s_hit_rate : float;  (** [s_hits] / served jobs *)
   s_max_label_bits : int;
   s_cache_rejects : int;
       (** jobs whose cached bundle failed re-verification (a job counts
@@ -235,6 +236,7 @@ let summary_zero =
     s_prove_ms = 0.0;
     s_verify_ms = 0.0;
     s_jobs_per_sec = 0.0;
+    s_hits = 0;
     s_hit_rate = 0.0;
     s_max_label_bits = 0;
     s_cache_rejects = 0;
@@ -245,19 +247,14 @@ let summary_zero =
    this so a million-job pass never holds a report list; [summarize]
    is the same fold, so batch and stream share one definition of the
    aggregate semantics. The two derived rates are recomputed from the
-   running totals each step; the cache-hit count is recovered exactly
-   from the previous rate (it was hits/served with both far below
-   2^53, so round-tripping through the float is lossless). *)
+   running totals each step. *)
 let summary_add s r =
   let served_status =
     match r.r_status with
     | Served_fresh | Served_cached | Served_degraded -> true
     | Declined | Input_error _ | Unsound _ | Failed _ -> false
   in
-  let hits =
-    int_of_float (Float.round (s.s_hit_rate *. float_of_int s.s_served))
-    + if r.r_cache_hit && served_status then 1 else 0
-  in
+  let hits = s.s_hits + if r.r_cache_hit && served_status then 1 else 0 in
   let bump status n = if r.r_status = status then n + 1 else n in
   let fresh = bump Served_fresh s.s_fresh in
   let cached = bump Served_cached s.s_cached in
@@ -284,6 +281,7 @@ let summary_add s r =
     s_jobs_per_sec =
       (if total_ms > 0.0 then 1000.0 *. float_of_int jobs /. total_ms
        else 0.0);
+    s_hits = hits;
     s_hit_rate =
       (if served > 0 then float_of_int hits /. float_of_int served else 0.0);
     s_max_label_bits = max s.s_max_label_bits r.r_label_bits;

@@ -7,7 +7,9 @@
     Durations are measured on the {e monotonic} clock
     ([Monotonic_clock.now], CLOCK_MONOTONIC under the hood), so a
     wall-clock step (NTP slew, suspend) can never produce a negative or
-    wildly inflated sample — gettimeofday arithmetic can.
+    wildly inflated sample — gettimeofday arithmetic can. [now_ms] is
+    the service's one clock: job latencies and retry deadlines read it
+    too.
 
     The sink is deliberately dumb: raw samples, no pre-bucketing. A
     worker process serializes its samples with [samples] and the pool
@@ -15,10 +17,13 @@
     over a sharded run are computed from the {e exact} union of
     samples, identical to what a sequential run would report.
 
-    Besides durations the sink carries named integer {e counters}
-    (composition-memo hits/misses, interned states, GC minor words);
-    [absorb] merges them by summation and [pp] renders them on one
-    [counters:] line after the histogram. *)
+    Besides durations the sink carries named integer {e counters}: the
+    one path every engine counter takes to an operator (composition
+    memo, certificate store, GC minor words). A worker ships the
+    nonzero {e deltas} since its previous message; an in-process
+    engine adds its totals once, when its pool stops. Either way
+    [absorb] sums them, so each event is counted exactly once, and the
+    footers and the daemon's stats endpoint all read this one sink. *)
 
 type stage = Parse | Prove | Encode | Verify | Store
 
@@ -50,28 +55,46 @@ let buf_to_list b = Array.to_list (Array.sub b.data 0 b.len)
 type t = {
   bufs : (stage * buf) list;
       (* assoc over the five fixed stages; tiny, allocation-free on record *)
-  mutable ctrs : (string * int) list;
-      (* named event counters (memo hits, allocation words, ...) riding
-         along with the histogram; merged across workers by summation *)
+  ctrs : (string, int) Hashtbl.t;
+      (* named event counters riding along with the histogram; a
+         table, so absorbing a delta costs O(1) per name *)
 }
 
-let create () : t = { bufs = List.map (fun s -> (s, buf_create ())) stages; ctrs = [] }
+let create () : t =
+  {
+    bufs = List.map (fun s -> (s, buf_create ())) stages;
+    ctrs = Hashtbl.create 32;
+  }
 
 let now_ns () = Monotonic_clock.now ()
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
+(** Milliseconds on the monotonic clock: only differences mean
+    anything. *)
+let now_ms () = ms_of_ns (now_ns ())
+
 let record (t : t) stage ms = buf_push (List.assoc stage t.bufs) ms
 
-let set_counter (t : t) name v =
-  t.ctrs <- (name, v) :: List.remove_assoc name t.ctrs
+let counter (t : t) name =
+  Option.value ~default:0 (Hashtbl.find_opt t.ctrs name)
 
 let add_counter (t : t) name v =
-  let cur = match List.assoc_opt name t.ctrs with Some c -> c | None -> 0 in
-  set_counter t name (cur + v)
+  Hashtbl.replace t.ctrs name (counter t name + v)
 
-let counters (t : t) =
-  List.sort (fun (a, _) (b, _) -> compare a b) t.ctrs
+(** The counters [names], in that order. *)
+let select (t : t) names = List.map (fun name -> (name, counter t name)) names
+
+(** Make [names] render (at 0) before any event has counted them, so
+    an operator sees the same keys from the first request on. *)
+let declare (t : t) names = List.iter (fun name -> add_counter t name 0) names
+
+(** The counters sorted by name, less those in [hide]. *)
+let counters ?(hide = []) (t : t) =
+  Hashtbl.fold
+    (fun name v acc -> if List.mem name hide then acc else (name, v) :: acc)
+    t.ctrs []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (** [time t stage f] runs [f ()], recording its duration under [stage]
     when a sink is present. The [option] lives here so call sites stay
@@ -92,14 +115,14 @@ type samples = {
   w_stages : (string * float list) list;
   w_ctrs : (string * int) list;
 }
-(** the wire form: stage name -> raw samples, plus the counter snapshot.
+(** the wire form: stage name -> raw samples, plus counter deltas.
     Strings rather than the variant so a marshalled payload from a
     worker of a different build degrades to an error, not a segfault. *)
 
 let samples (t : t) : samples =
   {
     w_stages = List.map (fun (s, b) -> (stage_name s, buf_to_list b)) t.bufs;
-    w_ctrs = t.ctrs;
+    w_ctrs = counters t;
   }
 
 let absorb (t : t) (xs : samples) =
@@ -114,7 +137,7 @@ let absorb (t : t) (xs : samples) =
 (** Drop every sample and counter, keeping the sink itself. *)
 let reset (t : t) =
   List.iter (fun (_, b) -> b.len <- 0) t.bufs;
-  t.ctrs <- []
+  Hashtbl.reset t.ctrs
 
 (** Take the sink's samples and reset it: the shipping discipline of a
     long-lived daemon worker, which flushes after every job so the
@@ -176,27 +199,34 @@ let report_json (t : t) =
   in
   "[" ^ String.concat "," (List.map line (report t)) ^ "]"
 
-(** The counters as one JSON object ([{}] when none have been
-    recorded), for the daemon's live stats endpoint — the same numbers
-    [pp_counters] renders after the histogram. Counter names are
-    identifier-shaped (memo_hit, minor_words, ...), so no escaping. *)
-let counters_json (t : t) =
+(** Named counts as one JSON object, for the daemon's live stats
+    endpoint. Counter names are identifier-shaped (memo_hit,
+    minor_words, ...), so no escaping. *)
+let json_of_counts counts =
   "{"
   ^ String.concat ","
-      (List.map (fun (name, v) -> Printf.sprintf "\"%s\":%d" name v) (counters t))
+      (List.map (fun (name, v) -> Printf.sprintf "\"%s\":%d" name v) counts)
   ^ "}"
 
-let pp_counters ppf (t : t) =
-  match counters t with
-  | [] -> ()
-  | cs ->
-      Format.fprintf ppf "@,counters:";
-      List.iter (fun (name, v) -> Format.fprintf ppf " %s=%d" name v) cs
+(** Named counts as [name=v] words separated by spaces: one footer line's
+    body. *)
+let pp_counts ppf counts =
+  Format.pp_print_string ppf
+    (String.concat " "
+       (List.map (fun (name, v) -> Printf.sprintf "%s=%d" name v) counts))
 
-let pp ppf (t : t) =
+let pp_counters hide ppf (t : t) =
+  match counters ~hide t with
+  | [] -> ()
+  | cs -> Format.fprintf ppf "@,counters: %a" pp_counts cs
+
+(** The histogram, then a [counters:] line with every counter not in
+    [hide] (a caller that renders some counters on a line of their own
+    hides them here). *)
+let pp_except hide ppf (t : t) =
   match report t with
   | [] ->
-      Format.fprintf ppf "@[<v>timing: no samples%a@]" pp_counters t
+      Format.fprintf ppf "@[<v>timing: no samples%a@]" (pp_counters hide) t
   | lines ->
       Format.fprintf ppf "@[<v>%-8s %8s %12s %10s %10s %10s %10s" "stage"
         "count" "total ms" "p50 ms" "p90 ms" "p99 ms" "max ms";
@@ -205,4 +235,6 @@ let pp ppf (t : t) =
           Format.fprintf ppf "@,%-8s %8d %12.1f %10.3f %10.3f %10.3f %10.3f"
             l.l_stage l.l_count l.l_total_ms l.l_p50 l.l_p90 l.l_p99 l.l_max)
         lines;
-      Format.fprintf ppf "%a@]" pp_counters t
+      Format.fprintf ppf "%a@]" (pp_counters hide) t
+
+let pp ppf t = pp_except [] ppf t

@@ -11,14 +11,17 @@
     - After building its engine the worker sends [Ready]. A build that
       hits a simulated process death answers [Crashed] and exits 3; any
       other build failure exits 4 without a word.
-    - Every [Job] and [Delta_job] gets exactly one [Done]: the report,
-      the timing samples recorded since the previous reply (per-job
-      deltas, so a driver that absorbs every reply counts each sample
-      once), and the store's counters.
+    - Every [Job] and [Delta_job] gets exactly one [Done]: the report
+      and the samples since the previous message — the stage timings
+      (when the worker is timed) and the nonzero deltas of
+      {!Engine.counters}, counted from the worker's birth. A driver
+      that absorbs every message therefore counts each sample and
+      each counted event once.
     - [Delta_close] has no reply.
-    - [Quit] group-commits the store and answers [Bye] with the
-      post-flush store counters and the final counter snapshot, then
-      exits 0. EOF on the job pipe exits the same way, without [Bye].
+    - [Quit] group-commits the store and answers [Bye] with the samples
+      since the last [Done] (the commit's own counters among them),
+      then exits 0. EOF on the job pipe exits the same way, without
+      [Bye].
     - A simulated process death ([Blob_io.Crashed]) mid-job or in the
       final commit answers [Crashed path] and exits 3, so a driver can
       re-raise it. EOF with no such frame is a real death.
@@ -72,15 +75,10 @@ type from_worker =
       report : Stats.job_report;
       patch : string option;  (** patch-info JSON for delta jobs *)
       samples : Timing.samples;
-      store_stats : Cert_store.stats;
       degraded : bool;
     }
   | Crashed of string  (** simulated process death at this op path *)
-  | Bye of {
-      samples : Timing.samples;
-      store_stats : Cert_store.stats;  (** after the final group commit *)
-      degraded : bool;
-    }
+  | Bye of { samples : Timing.samples; degraded : bool }
 
 (* a Dedit that arrives with no live session (its open failed, or a
    prior incarnation of this slot held it) must still answer *)
@@ -104,6 +102,9 @@ let main ~make_engine ~timed ~idx rfd wfd =
     send (Crashed p);
     Unix._exit 3
   in
+  (* counted from here: the memo and allocation counts a fork inherits
+     are the parent's, and the store does not exist yet *)
+  let shipped = ref (Engine.counters_of (Cert_store.zero_stats ())) in
   let timing = if timed then Some (Timing.create ()) else None in
   let engine =
     match make_engine ~worker:idx timing with
@@ -116,44 +117,32 @@ let main ~make_engine ~timed ~idx rfd wfd =
   in
   send Ready;
   let sessions : (int, Delta.session) Hashtbl.t = Hashtbl.create 8 in
-  (* per-job memo-counter DELTAS into the timing sink: [flush] resets
-     the counters after every job and the parent's [absorb] merges by
-     summation, so shipping cumulative totals would overcount *)
-  let with_memo_counters f =
-    let before =
-      match timing with Some _ -> Lcp_cert.Memo.counters () | None -> []
-    in
-    let result = f () in
-    (match timing with
-    | Some tsink ->
-        List.iter
-          (fun (name, v) ->
-            let v0 = Option.value ~default:0 (List.assoc_opt name before) in
-            Timing.set_counter tsink name (v - v0))
-          (Lcp_cert.Memo.counters ())
-    | None -> ());
-    result
-  in
   let retry_of deadline_ms =
     if deadline_ms > 0.0 then
       Some { (Engine.retry engine) with Engine.deadline_ms }
     else None
   in
+  (* the stage samples since the last message, and the counters'
+     nonzero deltas: both snapshots list the same names in the same
+     order *)
   let take_samples () =
-    match timing with Some t -> Timing.flush t | None -> no_samples
+    let now = Engine.counters engine in
+    let deltas =
+      List.fold_right2
+        (fun (name, v0) (_, v) acc ->
+          if v = v0 then acc else (name, v - v0) :: acc)
+        !shipped now []
+    in
+    shipped := now;
+    let stages =
+      match timing with Some t -> Timing.flush t | None -> no_samples
+    in
+    { stages with Timing.w_ctrs = deltas }
   in
+  let degraded () = Cert_store.degraded (Engine.store engine) in
   let finish ~token ~report ~patch =
-    let store = Engine.store engine in
-    send
-      (Done
-         {
-           token;
-           report;
-           patch;
-           samples = take_samples ();
-           store_stats = Cert_store.stats store;
-           degraded = Cert_store.degraded store;
-         })
+    let samples = take_samples () in
+    send (Done { token; report; patch; samples; degraded = degraded () })
   in
   (* group-commit any dirty records before dying; a flush that faults
      must not turn a clean exit into a hang (the records it loses are
@@ -177,20 +166,11 @@ let main ~make_engine ~timed ~idx rfd wfd =
         match (Marshal.from_string payload 0 : to_worker) with
         | Quit ->
             commit ();
-            Engine.snapshot_store_counters engine;
-            let store = Engine.store engine in
-            send
-              (Bye
-                 {
-                   samples = take_samples ();
-                   store_stats = Cert_store.stats store;
-                   degraded = Cert_store.degraded store;
-                 });
+            send (Bye { samples = take_samples (); degraded = degraded () });
             Unix._exit 0
         | Job { token; job; deadline_ms } -> (
             match
-              with_memo_counters (fun () ->
-                  Engine.run_job ?retry:(retry_of deadline_ms) engine job)
+              Engine.run_job ?retry:(retry_of deadline_ms) engine job
             with
             | exception Blob_io.Crashed p -> die_crashed p
             | report ->
@@ -217,7 +197,7 @@ let main ~make_engine ~timed ~idx rfd wfd =
                   | None -> (no_session_report, Delta.no_info "none")
                   | Some s -> Delta.step ?retry s ~full ops)
             in
-            match with_memo_counters run with
+            match run () with
             | exception Blob_io.Crashed p -> die_crashed p
             | report, info ->
                 finish ~token ~report ~patch:(Some (Delta.info_json info));

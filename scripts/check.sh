@@ -94,6 +94,18 @@ if ! cmp -s "$tmp/batch.jsonl" "$tmp/daemon.jsonl"; then
   kill -KILL "$server_pid" 2>/dev/null || true
   exit 1
 fi
+# the live stats endpoint carries the store, memo and GC counters the
+# workers ship with every reply, before any drain
+./_build/default/bin/certd.exe --connect "$tmp/certd.sock" --server-stats \
+  > "$tmp/stats.json"
+for key in filter_skips drops minor_words; do
+  if ! grep -q "\"$key\"" "$tmp/stats.json"; then
+    echo "check.sh: certd --server-stats lacks \"$key\"" >&2
+    cat "$tmp/stats.json" >&2
+    kill -KILL "$server_pid" 2>/dev/null || true
+    exit 1
+  fi
+done
 kill -TERM "$server_pid"
 if ! wait "$server_pid"; then
   echo "check.sh: certd-server did not exit 0 on SIGTERM" >&2

@@ -17,6 +17,7 @@ module Engine = Lcp_service.Engine
 module Manifest = Lcp_service.Manifest
 module Stats = Lcp_service.Stats
 module Timing = Lcp_service.Timing
+module Pool = Lcp_service.Pool
 module Blob = Lcp_service.Blob_io
 
 let check = Alcotest.(check bool)
@@ -566,9 +567,15 @@ let daemon_matches_batch () =
         |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
         |> List.map snd |> String.concat "\n"
       in
-      let reports, _ =
-        Engine.run_jobs (Engine.create ()) (parse_lines jobs_lines)
-      in
+      let reports = ref [] in
+      ignore
+        (Pool.run_once
+           ~emit:(fun r -> reports := r :: !reports)
+           ~timing:(Timing.create ()) ~workers:1
+           ~make_engine:(fun ~worker:_ timing -> Engine.create ?timing ())
+           (Pool.in_id_order (parse_lines jobs_lines))
+          : Pool.outcome);
+      let reports = List.rev !reports in
       check_str "daemon canonical output = batch canonical output"
         (Stats.canonical_lines reports)
         daemon_lines;
@@ -925,6 +932,63 @@ let daemon_delta_session () =
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 
+(* the store, memo and GC counters ride every worker reply, timed or
+   not, so a live daemon's stats reconcile before any drain: each store
+   hit was either served from the cache or rejected by re-verification
+   (here, a certificate proved for another id seed) and re-proved *)
+let daemon_counters_reconcile_live () =
+  with_temp_dir (fun dir ->
+      let socket_path = Filename.concat dir "d.sock" in
+      let cache = Filename.concat dir "cache" in
+      let cfg =
+        {
+          (base_cfg ~socket_path ~workers:1) with
+          make_engine =
+            (fun ~worker:_ timing -> Engine.create ~cache_dir:cache ?timing ());
+          timed = false;
+        }
+      in
+      let pid = start_server cfg in
+      (* a failed check must not leave the daemon holding the test's
+         output pipe *)
+      Fun.protect
+        ~finally:(fun () ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid)
+          | _ | (exception Unix.Unix_error _) -> ())
+      @@ fun () ->
+      let fd = dial socket_path in
+      let tree seed =
+        Printf.sprintf
+          "id=rc-%d gen=tree n=16 gseed=5 property=acyclic k=2 seed=%d" seed
+          seed
+      in
+      (* fresh, then a hit served, then a hit whose ids differ *)
+      List.iteri
+        (fun i line ->
+          submit fd i line;
+          ignore (read_response fd))
+        [ tree 1; tree 1; tree 2 ];
+      Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
+      (match read_response fd with
+      | Wire.Stats_reply json ->
+          check_int "one seed-collision reject" 1
+            (json_int json "cache_rejects");
+          check_int "one cached serve" 1 (json_int json "cached");
+          check_int "store hits = cached serves + rejects"
+            (json_int json "cached" + json_int json "cache_rejects")
+            (json_int json "hits");
+          check_int "the rejected entry was dropped" 1 (json_int json "drops");
+          check "the filter skipped the first touch" true
+            (json_int json "filter_skips" >= 1);
+          check "allocation counted while serving" true
+            (json_int json "minor_words" > 0)
+      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      Unix.close fd;
+      check_int "clean drain" 0 (stop_server pid))
+
 (* the mandatory handshake: a frame before hello — garbage, an honest
    v1 frame, anything — gets one descriptive error naming the expected
    exchange, then the connection is closed; a wrong version gets a
@@ -1169,6 +1233,8 @@ let suite =
       test "daemon output = batch output" daemon_matches_batch;
       test "admission control refuses the excess" daemon_backpressure;
       test "live stats endpoint" daemon_stats_endpoint;
+      test "live counters reconcile before drain"
+        daemon_counters_reconcile_live;
       test "worker crash, respawn, single retry" daemon_crash_respawn;
       test "idle worker killed externally, daemon recovers"
         daemon_idle_worker_death;

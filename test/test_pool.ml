@@ -124,7 +124,8 @@ let run_batch ?(emit = fun (_ : Stats.job_report) -> ()) ~workers ~make_engine
       ~emit:(fun r ->
         reports := r :: !reports;
         emit r)
-      ~workers ~make_engine (Pool.in_id_order jobs)
+      ~timing:(Service.Timing.create ()) ~workers ~make_engine
+      (Pool.in_id_order jobs)
   in
   (List.rev !reports, out)
 
@@ -166,8 +167,11 @@ let pool1_matches_sequential () =
   with_dir "seq" @@ fun d_seq ->
   with_dir "one" @@ fun d_one ->
   let jobs = corpus () in
+  (* the reference: the engine alone, in manifest order *)
   let engine = make_engine ~dir:d_seq () ~worker:0 None in
-  let seq_reports, seq_summary = Engine.run_jobs engine jobs in
+  let seq_reports = List.map (Engine.run_job engine) jobs in
+  Engine.flush engine;
+  let seq_summary = Stats.summarize seq_reports in
   let reports, out =
     run_batch ~workers:1 ~make_engine:(make_engine ~dir:d_one ()) jobs
   in
@@ -287,13 +291,13 @@ let crash_propagates () =
 let passes_warm_without_disk () =
   let jobs = corpus () in
   let pool =
-    Pool.start ~workers:2
+    Pool.start ~timing:(Service.Timing.create ()) ~workers:2
       ~make_engine:(fun ~worker:_ timing -> Engine.create ?timing ())
       ()
   in
   let cold = Pool.run pool (Pool.in_id_order jobs) in
   let warm = Pool.run pool (Pool.in_id_order jobs) in
-  ignore (Pool.stop pool : Store.stats * bool);
+  ignore (Pool.stop pool : bool);
   check "pass 1 proved something" true (cold.Stats.s_fresh > 0);
   check_int "pass 2: nothing fresh" 0 warm.Stats.s_fresh;
   check_int "pass 2: every served job cached" warm.Stats.s_served
@@ -317,7 +321,7 @@ let worker_cap () =
     (Worker.fd_budget - (2 * Worker.max_workers) > 0);
   check "Pool.start refuses before forking" true
     (match
-       Pool.start ~workers:0
+       Pool.start ~timing:(Service.Timing.create ()) ~workers:0
          ~make_engine:(fun ~worker:_ timing -> Engine.create ?timing ())
          ()
      with

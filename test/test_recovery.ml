@@ -26,6 +26,8 @@ module Bundle = Lcp_service.Bundle
 module Manifest = Lcp_service.Manifest
 module Engine = Lcp_service.Engine
 module Stats = Lcp_service.Stats
+module Pool = Lcp_service.Pool
+module Timing = Lcp_service.Timing
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -505,7 +507,13 @@ let engine_degraded_and_crash () =
       in
       let engine = Engine.create ~cache_cap:32 ~cache_dir:dir ~io () in
       let jobs = List.init 8 (fun i -> job_of ~id:(string_of_int i) "tree" (8 + i) i "acyclic" 2) in
-      let _, summary = Engine.run_jobs engine jobs in
+      let run engine =
+        (Pool.run_once ~timing:(Timing.create ()) ~workers:1
+           ~make_engine:(fun ~worker:_ _ -> engine)
+           (Pool.in_id_order jobs))
+          .Pool.summary
+      in
+      let summary = run engine in
       check_int "all jobs served" 8 summary.Stats.s_served;
       check_int "no job failed" 0 summary.Stats.s_failed;
       check "store degraded" true (Store.degraded (Engine.store engine));
@@ -514,7 +522,7 @@ let engine_degraded_and_crash () =
       (* a crash point, by contrast, must abort the batch *)
       let io, _ = Blob.inject ~plan:(plan1 Blob.Crash) Blob.real in
       let engine = Engine.create ~cache_cap:32 ~cache_dir:dir ~io () in
-      match Engine.run_jobs engine jobs with
+      match run engine with
       | _ -> Alcotest.fail "crash must propagate out of the batch"
       | exception Blob.Crashed _ -> ())
 

@@ -16,6 +16,8 @@ module Bundle = Lcp_service.Bundle
 module Store = Lcp_service.Cert_store
 module Engine = Lcp_service.Engine
 module Stats = Lcp_service.Stats
+module Pool = Lcp_service.Pool
+module Timing = Lcp_service.Timing
 module EM = Lcp_pls.Scheme.Edge_map
 
 let check = Alcotest.(check bool)
@@ -354,6 +356,19 @@ let store_disk () =
 (* ---------------------------------------------------------------- *)
 (* engine: cold pass proves, warm pass serves from cache             *)
 
+(* one in-process pass of [jobs] over [engine] in id order, as certd
+   runs a manifest at --jobs 1: the reports and the summary *)
+let run_local ?(timing = Timing.create ()) engine jobs =
+  let reports = ref [] in
+  let out =
+    Pool.run_once
+      ~emit:(fun r -> reports := r :: !reports)
+      ~timing ~workers:1
+      ~make_engine:(fun ~worker:_ _ -> engine)
+      (Pool.in_id_order jobs)
+  in
+  (List.rev !reports, out.Pool.summary)
+
 let engine_cold_warm () =
   let jobs =
     List.init 3 (fun i ->
@@ -367,11 +382,11 @@ let engine_cold_warm () =
         })
   in
   let engine = Engine.create ~cache_cap:16 () in
-  let _, cold = Engine.run_jobs engine jobs in
+  let _, cold = run_local engine jobs in
   check_int "cold: all served" 3 cold.Stats.s_served;
   check_int "cold: all fresh" 3 cold.Stats.s_fresh;
   check_int "cold: no unsound" 0 cold.Stats.s_unsound;
-  let reports, warm = Engine.run_jobs engine jobs in
+  let reports, warm = run_local engine jobs in
   check_int "warm: all cached" 3 warm.Stats.s_cached;
   check_int "warm: no re-verification rejects" 0 warm.Stats.s_cache_rejects;
   check "warm: 100% hit rate" true (warm.Stats.s_hit_rate = 1.0);
@@ -396,18 +411,18 @@ let engine_counters () =
           seed = 5;
         })
   in
-  let timing = Lcp_service.Timing.create () in
+  let timing = Timing.create () in
   let engine = Engine.create ~cache_cap:16 ~timing () in
-  let _, summary = Engine.run_jobs engine jobs in
+  let _, summary = run_local ~timing engine jobs in
   check_int "all served" 2 summary.Stats.s_served;
-  let ctrs = Lcp_service.Timing.counters timing in
+  let ctrs = Timing.counters timing in
   List.iter
     (fun name ->
       check (name ^ " counter present") true (List.mem_assoc name ctrs))
     [ "memo_hit"; "memo_miss"; "intern_hit"; "intern_miss"; "minor_words" ];
   check "some memo traffic" true (List.assoc "memo_miss" ctrs > 0);
   check "allocation counter positive" true (List.assoc "minor_words" ctrs > 0);
-  let footer = Format.asprintf "%a" Lcp_service.Timing.pp timing in
+  let footer = Format.asprintf "%a" Timing.pp timing in
   check "footer has a counters line" true
     (let re = "counters:" in
      let rec find i =
@@ -416,12 +431,78 @@ let engine_counters () =
      in
      find 0);
   (* absorb must sum counters across workers, not overwrite *)
-  let t2 = Lcp_service.Timing.create () in
-  Lcp_service.Timing.absorb t2 (Lcp_service.Timing.samples timing);
-  Lcp_service.Timing.absorb t2 (Lcp_service.Timing.samples timing);
+  let t2 = Timing.create () in
+  Timing.absorb t2 (Timing.samples timing);
+  Timing.absorb t2 (Timing.samples timing);
   check_int "absorb sums"
     (2 * List.assoc "memo_miss" ctrs)
-    (List.assoc "memo_miss" (Lcp_service.Timing.counters t2))
+    (List.assoc "memo_miss" (Timing.counters t2))
+
+(* the certd footer reads one sink: the store's counters on the store:
+   line, every other counter on the counters: line, none on both — in
+   process and summed over forked workers alike *)
+let footer_counts_once () =
+  let jobs =
+    List.init 4 (fun i ->
+        {
+          Manifest.job_id = Printf.sprintf "f%d" i;
+          source =
+            Manifest.Generated
+              { family = "tree"; n = 10 + (i mod 2); gen_seed = i mod 2 };
+          property = "acyclic";
+          k = 2;
+          seed = 5;
+        })
+  in
+  (* the name=value words of the footer line starting with [prefix] *)
+  let counts prefix footer =
+    let lines = String.split_on_char '\n' footer in
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | None -> Alcotest.failf "no %S line in %s" prefix footer
+    | Some l ->
+        List.filter_map
+          (fun w ->
+            match String.split_on_char '=' w with
+            | [ name; v ] -> Some (name, int_of_string v)
+            | _ -> None)
+          (String.split_on_char ' ' l)
+  in
+  List.iter
+    (fun workers ->
+      with_temp_dir (fun dir ->
+          let timing = Timing.create () in
+          let out =
+            Pool.run_once ~timing ~workers
+              ~make_engine:(fun ~worker:_ timing ->
+                Engine.create ~cache_dir:dir ?timing ())
+              (Pool.in_id_order jobs)
+          in
+          let footer =
+            Format.asprintf "%a"
+              (Pool.pp_footer ~degraded:out.Pool.degraded)
+              timing
+          in
+          let store = counts "store: " footer in
+          let ctrs = counts "counters: " footer in
+          let name = Printf.sprintf "workers=%d: %s" workers in
+          check (name "store line: every store counter, in order") true
+            (List.map fst store = Store.counter_names);
+          List.iter
+            (fun (n, _) ->
+              check (name (n ^ " is on one line only")) false
+                (List.mem_assoc n store))
+            ctrs;
+          check (name "memo and allocation counters on the counters line")
+            true
+            (List.mem_assoc "memo_miss" ctrs
+            && List.assoc "minor_words" ctrs > 0);
+          let s = out.Pool.summary in
+          check_int (name "store hits = cached serves + rejects")
+            (s.Stats.s_cached + s.Stats.s_cache_rejects)
+            (List.assoc "hits" store);
+          check (name "first touches skip the disk") true
+            (List.assoc "filter_skips" store > 0)))
+    [ 1; 2 ]
 
 let engine_rejects_unknowns () =
   let job source property =
@@ -505,6 +586,7 @@ let suite =
       test "store disk tier" store_disk;
       test "engine cold/warm" engine_cold_warm;
       test "engine surfaces memo/alloc counters" engine_counters;
+      test "footer counts each counter once" footer_counts_once;
       test "engine rejects unknowns" engine_rejects_unknowns;
       test "summary counts rejected jobs once" summary_counts_rejected_jobs;
     ] )

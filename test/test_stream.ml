@@ -296,6 +296,20 @@ let dup_jobs ids_ns =
       | _ -> Alcotest.fail "bad test job")
     ids_ns
 
+(* one in-process pass of [jobs] over [engine] through the local
+   driver, fed in manifest order: these tests script the order in which
+   keys are touched *)
+let run_local engine jobs =
+  let reports = ref [] in
+  ignore
+    (Pool.run_once
+       ~emit:(fun r -> reports := r :: !reports)
+       ~timing:(Service.Timing.create ()) ~workers:1
+       ~make_engine:(fun ~worker:_ _ -> engine)
+       (fun feed -> List.iter feed jobs)
+      : Pool.outcome);
+  List.rev !reports
+
 let counters_write_through () =
   with_dir "wt" (fun d ->
       (* cap=1 evicts the previous key on every insert, so every repeat
@@ -306,7 +320,7 @@ let counters_write_through () =
         dup_jobs
           [ ("a1", 6); ("b1", 8); ("a2", 6); ("b2", 8); ("a3", 6); ("b3", 8) ]
       in
-      let _ = Engine.run_jobs engine jobs in
+      ignore (run_local engine jobs : Stats.job_report list);
       let s = Store.stats (Engine.store engine) in
       check_int "filter_skips = first touches" 2 s.Store.filter_skips;
       check_int "filter_hits = disk serves" 4 s.Store.filter_hits;
@@ -320,7 +334,7 @@ let counters_dirty_serve () =
          served — from the dirty set, not by recomputation *)
       let engine = Engine.create ~cache_cap:1 ~cache_dir:d ~write_batch:8 () in
       let jobs = dup_jobs [ ("a1", 6); ("b1", 8); ("a2", 6); ("b2", 8) ] in
-      let _reports, _summary = Engine.run_jobs engine jobs in
+      ignore (run_local engine jobs : Stats.job_report list);
       let s = Store.stats (Engine.store engine) in
       check_int "nothing read back from disk" 0 s.Store.disk_loads;
       check_int "no disk probes at all" 0 s.Store.filter_hits;
@@ -341,17 +355,18 @@ let counters_pool_sharded () =
              [ 6; 7; 8; 9; 10; 11 ])
       in
       let workers = 2 in
-      let outcome =
-        (* one disk tier per worker (keyed by child pid): a shared dir
-           would let a late-starting worker seed its filter from the
-           sibling's flushed records, turning first-touch skips into
-           scheduling-dependent disk hits *)
-        Pool.run_once ~workers
-          ~make_engine:(fun ~worker:_ wt ->
-            let wd = Filename.concat d (string_of_int (Unix.getpid ())) in
-            Engine.create ~cache_dir:wd ?timing:wt ())
-          (Pool.in_id_order jobs)
-      in
+      let timing = Service.Timing.create () in
+      (* one disk tier per worker (keyed by child pid): a shared dir
+         would let a late-starting worker seed its filter from the
+         sibling's flushed records, turning first-touch skips into
+         scheduling-dependent disk hits *)
+      ignore
+        (Pool.run_once ~timing ~workers
+           ~make_engine:(fun ~worker:_ wt ->
+             let wd = Filename.concat d (string_of_int (Unix.getpid ())) in
+             Engine.create ~cache_dir:wd ?timing:wt ())
+           (Pool.in_id_order jobs)
+          : Pool.outcome);
       (* per-worker filters are process-private and start empty,
          memory caps are large: each worker skips exactly one probe
          per distinct key of its shard and never probes again *)
@@ -369,11 +384,11 @@ let counters_pool_sharded () =
         |> List.map (fun (w, n) -> (w * 1000) + n)
         |> S.of_list |> S.cardinal
       in
-      let s = outcome.Pool.store_stats in
+      let summed = Service.Timing.counter timing in
       check_int "summed filter_skips = per-shard first touches" expected
-        s.Store.filter_skips;
-      check_int "no disk hits with private tiers" 0 s.Store.filter_hits;
-      check_int "no false positives across workers" 0 s.Store.filter_fps)
+        (summed "filter_skips");
+      check_int "no disk hits with private tiers" 0 (summed "filter_hits");
+      check_int "no false positives across workers" 0 (summed "filter_fps"))
 
 let crash_mid_flush_recovers () =
   let jobs =
@@ -383,8 +398,7 @@ let crash_mid_flush_recovers () =
   let clean_lines =
     with_dir "ref" (fun d ->
         let e = Engine.create ~cache_dir:d ~write_batch:4 () in
-        let reports, _ = Engine.run_jobs e jobs in
-        Stats.canonical_lines reports)
+        Stats.canonical_lines (run_local e jobs))
   in
   with_dir "crash" (fun d ->
       let plan =
@@ -394,13 +408,13 @@ let crash_mid_flush_recovers () =
       in
       let io = fst (Blob_io.inject ~plan Blob_io.real) in
       let e1 = Engine.create ~cache_dir:d ~write_batch:4 ~io () in
-      (match Engine.run_jobs e1 jobs with
+      (match run_local e1 jobs with
       | _ -> Alcotest.fail "expected a crash mid-flush"
       | exception Blob_io.Crashed _ -> ());
       (* reopen: orphan tmp files swept, no corrupt record served, and
          the judgements re-converge to the clean run byte-for-byte *)
       let e2 = Engine.create ~cache_dir:d ~write_batch:4 () in
-      let reports, _ = Engine.run_jobs e2 jobs in
+      let reports = run_local e2 jobs in
       let s = Store.stats (Engine.store e2) in
       check_int "zero corrupt records on reopen" 0 s.Store.corrupt;
       check_int "zero quarantined" 0 s.Store.quarantined;
@@ -434,7 +448,7 @@ let stream_matches_batch () =
       ignore
         (Pool.run_once
            ~emit:(fun r -> batch := r :: !batch)
-           ~workers:1
+           ~timing:(Service.Timing.create ()) ~workers:1
            ~make_engine:(fun ~worker:_ wt ->
              Engine.create ~cache_dir:(cache "b") ?timing:wt ())
            (Pool.in_id_order jobs)
@@ -446,7 +460,7 @@ let stream_matches_batch () =
           let outcome =
             Pool.run_once
               ~emit:(fun r -> lines := Stats.to_canonical_json r :: !lines)
-              ~workers
+              ~timing:(Service.Timing.create ()) ~workers
               ~make_engine:(fun ~worker:_ wt ->
                 Engine.create
                   ~cache_dir:(cache (string_of_int workers))
